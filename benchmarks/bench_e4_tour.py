@@ -62,7 +62,19 @@ def test_e4_spiral_tour_undetected(tour_world, report_out, benchmark):
         for s in tour.stops
     ]
     rows += ascii_scatter(actual + intended, width=60, height=20)
-    report_out("E4_tour", rows)
+    report_out(
+        "E4_tour",
+        rows,
+        summary={
+            "stops_planned_count": len(tour.stops),
+            "checkins_attempted_count": report.attempts,
+            "checkins_rewarded_count": report.rewarded,
+            "checkins_detected_count": report.detected,
+            "points_earned_count": report.points,
+            "badges_earned_count": len(report.badges),
+            "mean_drift_m": round(tour.mean_drift_m(), 1),
+        },
+    )
     assert report.attempts >= 25
     assert report.detected == 0
     assert report.rewarded == report.attempts
@@ -143,7 +155,12 @@ def test_e4_ablation_which_rule_binds(report_out, benchmark):
         "mall blitz, the speed rule stops teleporting, the one-hour rule "
         "stops same-venue hammering; with everything off, all 30 land)"
     )
-    report_out("E4_ablation_rules", rows)
+    summary = {}
+    for (style, label), outcomes in results.items():
+        summary.setdefault(style.replace(" ", "_"), {})[
+            label.replace(" ", "_").replace("-", "_")
+        ] = {f"{status}_count": count for status, count in outcomes.items()}
+    report_out("E4_ablation_rules", rows, summary=summary)
 
     assert results[("mall blitz", "all rules on")]["flagged"] > 0
     assert results[("mall blitz", "no rapid-fire")]["flagged"] == 0
@@ -183,5 +200,15 @@ def test_e4_ablation_step_size_vs_drift(report_out, benchmark):
     for step_deg, drift, ratio in results:
         rows.append(f"{step_deg:8.3f}   {drift:12.0f}   {ratio:16.2f}")
     rows.append("(relative drift falls as the step grows, as §3.3 argues)")
-    report_out("E4_ablation_step_size", rows)
+    report_out(
+        "E4_ablation_step_size",
+        rows,
+        summary={
+            f"step_{step_deg:.3f}_deg": {
+                "mean_drift_m": round(drift, 1),
+                "drift_per_step_ratio": round(ratio, 4),
+            }
+            for step_deg, drift, ratio in results
+        },
+    )
     assert results[-1][2] < results[0][2]

@@ -32,10 +32,19 @@ def test_e5_recent_vs_total_curve(bench_crawl, bench_world, report_out, benchmar
         f"{len(suspects)}"
     )
     mega = bench_world.roster.mega_cheater.user_id
-    rows.append(
-        f"mega cheater among them: {mega in {u.user_id for u in suspects}}"
+    mega_suspected = mega in {u.user_id for u in suspects}
+    rows.append(f"mega cheater among them: {mega_suspected}")
+    report_out(
+        "E5_recent_vs_total",
+        rows,
+        summary={
+            "curve_buckets_count": len(curve),
+            "trackable_users_count": count,
+            "trackable_mean_recent_checkins": round(average, 1),
+            "high_ratio_suspects_count": len(suspects),
+            "mega_cheater_suspected": mega_suspected,
+        },
     )
-    report_out("E5_recent_vs_total", rows)
 
     # Shape: the curve rises with totals (heavier users, more list slots).
     assert len(curve) >= 4

@@ -34,9 +34,10 @@ def test_e6_badges_vs_total(bench_crawl, bench_world, report_out, benchmark):
         "less than 10 badges')"
     )
     caught_ids = {s.user_id for s in bench_world.roster.caught_cheaters}
+    caught_low = len(caught_ids & {u.user_id for u in low})
     rows.append(
         f"caught-cheater personas among them: "
-        f"{len(caught_ids & {u.user_id for u in low})}/{len(caught_ids)}"
+        f"{caught_low}/{len(caught_ids)}"
     )
 
     # The extreme club at persona volume for this world scale.
@@ -53,7 +54,25 @@ def test_e6_badges_vs_total(bench_crawl, bench_world, report_out, benchmark):
         "(paper: 11 users >= 5000 check-ins, split 6 with concentrated "
         "mayorships / 5 caught cheaters with none)"
     )
-    report_out("E6_badges", rows)
+    report_out(
+        "E6_badges",
+        rows,
+        summary={
+            "curve_buckets_count": len(curve),
+            "peak_mean_badges": round(
+                max(p.average_badges for p in curve), 1
+            ),
+            "low_reward_heavy_users_count": len(low),
+            "caught_cheaters_count": len(caught_ids),
+            "caught_cheaters_low_reward_count": caught_low,
+            "extreme_club_min_checkins": threshold,
+            "extreme_club_users_count": club.size,
+            "extreme_club_with_mayorships_count": len(club.with_mayorships),
+            "extreme_club_without_mayorships_count": len(
+                club.without_mayorships
+            ),
+        },
+    )
 
     # Shape checks: rising early curve; caught cheaters flagged low.
     assert curve[0].average_badges < max(p.average_badges for p in curve)

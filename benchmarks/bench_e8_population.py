@@ -20,7 +20,34 @@ def test_e8_population_statistics(bench_crawl, bench_world, report_out, benchmar
         f"{farmer_row.total_checkins} check-ins "
         "(paper: 865 mayorships from 1,265 check-ins)"
     )
-    report_out("E8_population", rows)
+    report_out(
+        "E8_population",
+        rows,
+        summary={
+            "users_count": stats.users,
+            "venues_count": stats.venues,
+            "recent_checkin_records_count": stats.recent_checkin_records,
+            "zero_checkin_users_ratio": round(stats.zero_checkin_fraction, 4),
+            "light_checkin_users_ratio": round(
+                stats.light_checkin_fraction, 4
+            ),
+            "heavy_users_ratio": round(stats.heavy_user_fraction, 4),
+            "users_5000_plus_count": stats.users_with_5000_plus,
+            "username_users_ratio": round(stats.username_fraction, 4),
+            "venues_one_checkin_count": stats.venues_with_one_checkin,
+            "venues_one_visitor_count": stats.venues_with_one_visitor,
+            "mayor_only_specials_ratio": round(
+                stats.mayor_only_special_fraction, 4
+            ),
+            "users_with_mayorships_count": stats.users_with_mayorships,
+            "venues_with_mayors_count": stats.venues_with_mayors,
+            "mayorships_per_mayor_mean": round(
+                stats.average_mayorships_per_mayor, 2
+            ),
+            "mayor_farmer_mayorships_count": farmer_row.total_mayors,
+            "mayor_farmer_checkins_count": farmer_row.total_checkins,
+        },
+    )
 
     # The anchors the generator is calibrated to.
     assert abs(stats.zero_checkin_fraction - 0.363) < 0.04

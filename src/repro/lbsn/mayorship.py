@@ -15,12 +15,25 @@ Properties the thesis relies on and which are reproduced here:
   other user can get the mayorship from the attacker").
 * Only VALID check-ins count; flagged cheaters earn no mayorships (§4.2's
   second group of heavy users has zero mayorships).
+
+Two implementations of the rule live here.  :func:`decide_mayor` is the
+reference: it rescans the venue's window from the full history on every
+call.  :class:`MayorWindow` is what the service runs per valid check-in:
+one per venue, it keeps a cursor into the store's live venue history (no
+check-in is copied), folds newly appended records into a
+``user → {day → count}`` map, and evicts records as they fall out of the
+60-day window, so a decision costs the new records plus the window's
+users rather than the whole window.  The window relies on the history
+arriving in time order; the first time it doesn't (a decision time
+earlier than the last one, a record out of timestamp order or later than
+the decision time) the window turns *stale* for good and the service
+decides that venue with :func:`decide_mayor` from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.lbsn.models import CheckIn, CheckInStatus
 from repro.simnet.clock import SECONDS_PER_DAY, day_index
@@ -112,3 +125,106 @@ def decide_mayor(
         # Incumbent still active and unbeaten (ties keep the crown).
         return MayorDecision(incumbent_id, incumbent_id, day_counts)
     return MayorDecision(best_id, incumbent_id, day_counts)
+
+
+class MayorWindow:
+    """Incremental 60-day mayorship state for one venue.
+
+    ``history`` is the store's live check-in list for the venue; records
+    ``[evict, fold)`` are the folded ones still inside the window, and
+    ``days`` maps each user with a valid one among them to
+    ``{day index: valid check-ins that day}``.  :meth:`advance` brings the
+    state to a new decision time and :meth:`mayor` decides with
+    :func:`decide_mayor`'s tie rules.
+    """
+
+    __slots__ = (
+        "history", "stale", "_fold", "_evict", "_last_ts", "_now", "_days"
+    )
+
+    def __init__(self, history: List[CheckIn]) -> None:
+        self.history = history
+        #: Set once the in-order assumption failed; never cleared.
+        self.stale = False
+        self._fold = 0
+        self._evict = 0
+        self._last_ts = float("-inf")
+        self._now = float("-inf")
+        self._days: Dict[int, Dict[int, int]] = {}
+
+    def advance(self, now: float) -> bool:
+        """Fold new records and evict expired ones, as of ``now``.
+
+        Returns False, and marks the window stale, when the history or
+        ``now`` is out of time order; the caller must then decide with
+        :func:`decide_mayor`.
+        """
+        if self.stale:
+            return False
+        if now < self._now:
+            return self._go_stale()
+        history = self.history
+        days = self._days
+        end = len(history)
+        if self._fold < end:
+            last_ts = self._last_ts
+            for index in range(self._fold, end):
+                checkin = history[index]
+                timestamp = checkin.timestamp
+                if timestamp < last_ts or timestamp > now:
+                    return self._go_stale()
+                last_ts = timestamp
+                if checkin.status is CheckInStatus.VALID:
+                    by_day = days.get(checkin.user_id)
+                    if by_day is None:
+                        by_day = days[checkin.user_id] = {}
+                    day = day_index(timestamp)
+                    by_day[day] = by_day.get(day, 0) + 1
+            self._fold = end
+            self._last_ts = last_ts
+        self._now = now
+        window_start = now - MAYORSHIP_WINDOW_DAYS * SECONDS_PER_DAY
+        index = self._evict
+        while index < end:
+            checkin = history[index]
+            if checkin.timestamp >= window_start:
+                break
+            if checkin.status is CheckInStatus.VALID:
+                by_day = days[checkin.user_id]
+                day = day_index(checkin.timestamp)
+                if by_day[day] == 1:
+                    del by_day[day]
+                    if not by_day:
+                        del days[checkin.user_id]
+                else:
+                    by_day[day] -= 1
+            index += 1
+        self._evict = index
+        return True
+
+    def _go_stale(self) -> bool:
+        self.stale = True
+        self._days = {}
+        return False
+
+    def mayor(self, incumbent_id: Optional[int]) -> Optional[int]:
+        """The mayor after the last :meth:`advance`.
+
+        Same rules as :func:`decide_mayor`: the incumbent keeps the title
+        unless strictly beaten, and among challengers the most distinct
+        days wins, ties going to the lower user id.
+        """
+        best_id, best_days = None, 0
+        for user_id, by_day in self._days.items():
+            days = len(by_day)
+            if days > best_days or (days == best_days and user_id < best_id):
+                best_id, best_days = user_id, days
+        if incumbent_id is not None:
+            incumbent = self._days.get(incumbent_id)
+            if incumbent is not None and len(incumbent) >= best_days:
+                return incumbent_id
+        return best_id
+
+    def day_counts(self) -> Dict[int, int]:
+        """Distinct window days per user, as :func:`checkin_days_by_user`."""
+        return {user_id: len(by_day) for user_id, by_day in self._days.items()}

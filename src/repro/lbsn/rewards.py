@@ -10,16 +10,25 @@ Only VALID check-ins make badge/point progress: flagged check-ins count
 toward the raw total but earn nothing, which is exactly the signature the
 Fig 4.2 analysis exploits to spot caught cheaters.
 
-Badge predicates are written to scan history *backwards from the newest
-check-in and stop at their time window*, so evaluating a badge is O(window
-activity) rather than O(lifetime activity) — the workload generator replays
-hundreds of thousands of check-ins through this engine.
+Most of the catalogue is milestone ladders over a counter the service
+keeps on the :class:`~repro.lbsn.models.User` ("50 valid check-ins", "25
+distinct venues").  Such a badge declares its counter and threshold
+(``counter="valid_checkins", threshold=50``; the counters are the keys of
+:data:`BADGE_COUNTERS`), and :class:`BadgeEngine` sorts each counter's
+thresholds once, so a check-in walks only the thresholds at or below the
+counter's value instead of calling one predicate per badge.  The windowed
+badges (Super User, Bender, Local, Overshare, Crunked) and any caller's
+predicate-only badge run their predicate; those predicates scan history
+*backwards from the newest check-in and stop at their time window*, so
+evaluating one is O(window activity) rather than O(lifetime activity) —
+the workload generator replays hundreds of thousands of check-ins through
+this engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lbsn.models import CheckIn, CheckInStatus, User
 from repro.simnet.clock import SECONDS_PER_DAY, day_index
@@ -66,6 +75,15 @@ def _recent_valid(
             yield checkin
 
 
+#: The user counters a badge may declare, and how each is read.
+BADGE_COUNTERS: Dict[str, Callable[[User], int]] = {
+    "valid_checkins": lambda user: user.valid_checkins,
+    "venues_visited": lambda user: len(user.venues_visited),
+    "active_days": lambda user: len(user.active_days),
+    "mayorship_count": lambda user: user.mayorship_count,
+}
+
+
 @dataclass(frozen=True)
 class BadgeDefinition:
     """One badge: a name, the unlock text, and an unlock predicate.
@@ -73,25 +91,43 @@ class BadgeDefinition:
     The predicate sees the user (whose counters are already updated for the
     triggering check-in) and their full recorded history with the new
     check-in as its last element; it returns True when the badge unlocks.
+
+    A badge that unlocks exactly when a :data:`BADGE_COUNTERS` counter
+    reaches a threshold also declares both; :class:`BadgeEngine` then
+    decides it from the declaration, and the predicate must agree with it.
     """
 
     name: str
     description: str
     predicate: Callable[[User, Sequence[CheckIn]], bool]
+    counter: Optional[str] = None
+    threshold: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if (self.counter is None) != (self.threshold is None):
+            raise ValueError(
+                f"badge {self.name!r}: counter and threshold go together"
+            )
+        if self.counter is not None and self.counter not in BADGE_COUNTERS:
+            raise ValueError(
+                f"badge {self.name!r}: unknown counter {self.counter!r}"
+            )
 
 
-def _distinct_venue_badge(
-    threshold: int,
-) -> Callable[[User, Sequence[CheckIn]], bool]:
+def counter_badge(
+    name: str, description: str, counter: str, threshold: int
+) -> BadgeDefinition:
+    """A badge that unlocks when ``counter`` reaches ``threshold``.
+
+    The service maintains every :data:`BADGE_COUNTERS` counter
+    incrementally, so the predicate is O(1).
+    """
+    read = BADGE_COUNTERS[counter]
+
     def unlocked(user: User, history: Sequence[CheckIn]) -> bool:
-        # The service maintains venues_visited incrementally; O(1).
-        return len(user.venues_visited) >= threshold
+        return read(user) >= threshold
 
-    return unlocked
-
-
-def _newbie(user: User, history: Sequence[CheckIn]) -> bool:
-    return user.valid_checkins >= 1
+    return BadgeDefinition(name, description, unlocked, counter, threshold)
 
 
 def _super_user(user: User, history: Sequence[CheckIn]) -> bool:
@@ -193,27 +229,6 @@ DAY_MILESTONES = (2, 5, 10, 20, 30, 50, 75, 100, 150, 200, 250, 300, 365)
 MAYOR_MILESTONES = (1, 3, 5, 10, 20, 30, 50, 75, 100, 150, 200, 300, 500)
 
 
-def _checkin_milestone(threshold: int):
-    def unlocked(user: User, history: Sequence[CheckIn]) -> bool:
-        return user.valid_checkins >= threshold
-
-    return unlocked
-
-
-def _day_milestone(threshold: int):
-    def unlocked(user: User, history: Sequence[CheckIn]) -> bool:
-        return len(user.active_days) >= threshold
-
-    return unlocked
-
-
-def _mayor_milestone(threshold: int):
-    def unlocked(user: User, history: Sequence[CheckIn]) -> bool:
-        return user.mayorship_count >= threshold
-
-    return unlocked
-
-
 def milestone_badges() -> List[BadgeDefinition]:
     """The four parametric badge ladders.
 
@@ -222,40 +237,23 @@ def milestone_badges() -> List[BadgeDefinition]:
     ladders give the simulated catalogue the same dynamic range while
     every unlock stays O(1) against the user's maintained counters.
     """
-    badges: List[BadgeDefinition] = []
-    for threshold in CHECKIN_MILESTONES:
-        badges.append(
-            BadgeDefinition(
-                f"Check-ins x{threshold}",
-                f"{threshold} lifetime check-ins!",
-                _checkin_milestone(threshold),
-            )
+    ladders = (
+        ("valid_checkins", CHECKIN_MILESTONES,
+         "Check-ins x{}", "{} lifetime check-ins!"),
+        ("venues_visited", VENUE_MILESTONES,
+         "Venues x{}", "Checked into {} different venues!"),
+        ("active_days", DAY_MILESTONES,
+         "Days x{}", "Checked in on {} different days!"),
+        ("mayorship_count", MAYOR_MILESTONES,
+         "Mayor x{}", "Mayor of {} venues at once!"),
+    )
+    return [
+        counter_badge(
+            name.format(threshold), text.format(threshold), counter, threshold
         )
-    for threshold in VENUE_MILESTONES:
-        badges.append(
-            BadgeDefinition(
-                f"Venues x{threshold}",
-                f"Checked into {threshold} different venues!",
-                _distinct_venue_badge(threshold),
-            )
-        )
-    for threshold in DAY_MILESTONES:
-        badges.append(
-            BadgeDefinition(
-                f"Days x{threshold}",
-                f"Checked in on {threshold} different days!",
-                _day_milestone(threshold),
-            )
-        )
-    for threshold in MAYOR_MILESTONES:
-        badges.append(
-            BadgeDefinition(
-                f"Mayor x{threshold}",
-                f"Mayor of {threshold} venues at once!",
-                _mayor_milestone(threshold),
-            )
-        )
-    return badges
+        for counter, thresholds, name, text in ladders
+        for threshold in thresholds
+    ]
 
 
 def default_badges() -> List[BadgeDefinition]:
@@ -269,26 +267,32 @@ def default_badges() -> List[BadgeDefinition]:
     10).
     """
     return milestone_badges() + [
-        BadgeDefinition("Newbie", "Your first check-in!", _newbie),
-        BadgeDefinition(
+        counter_badge(
+            "Newbie", "Your first check-in!", "valid_checkins", 1
+        ),
+        counter_badge(
             "Adventurer",
             "You've checked into 10 different venues!",
-            _distinct_venue_badge(10),
+            "venues_visited",
+            10,
         ),
-        BadgeDefinition(
+        counter_badge(
             "Explorer",
             "You've checked into 25 different venues!",
-            _distinct_venue_badge(25),
+            "venues_visited",
+            25,
         ),
-        BadgeDefinition(
+        counter_badge(
             "Superstar",
             "You've checked into 50 different venues!",
-            _distinct_venue_badge(50),
+            "venues_visited",
+            50,
         ),
-        BadgeDefinition(
+        counter_badge(
             "Wanderlust",
             "You've checked into 100 different venues!",
-            _distinct_venue_badge(100),
+            "venues_visited",
+            100,
         ),
         BadgeDefinition("Super User", "30 check-ins in a month!", _super_user),
         BadgeDefinition("Bender", "Checked in 4 days in a row!", _bender),
@@ -309,6 +313,24 @@ class BadgeEngine:
         self, definitions: Optional[List[BadgeDefinition]] = None
     ) -> None:
         self._definitions = definitions or default_badges()
+        #: Per declared counter: its reader and ``(threshold, catalogue
+        #: index, name)`` ascending.
+        ladders: Dict[str, List[Tuple[int, int, str]]] = {}
+        #: Predicate-only badges: ``(catalogue index, name, predicate)``.
+        self._predicated: List[Tuple[int, str, Callable]] = []
+        for index, definition in enumerate(self._definitions):
+            if definition.counter is None:
+                self._predicated.append(
+                    (index, definition.name, definition.predicate)
+                )
+            else:
+                ladders.setdefault(definition.counter, []).append(
+                    (definition.threshold, index, definition.name)
+                )
+        self._ladders = [
+            (BADGE_COUNTERS[counter], sorted(entries))
+            for counter, entries in ladders.items()
+        ]
 
     @property
     def catalogue(self) -> List[BadgeDefinition]:
@@ -319,15 +341,25 @@ class BadgeEngine:
         """Return names of newly unlocked badges and add them to ``user``.
 
         ``history`` must already include the triggering check-in as its
-        last element.
+        last element.  Declared-counter badges are granted first, so a
+        predicate that reads ``user.badges`` sees them; the returned names
+        are in catalogue order.
         """
-        if len(user.badges) >= len(self._definitions):
+        badges = user.badges
+        if len(badges) >= len(self._definitions):
             return []
-        earned: List[str] = []
-        for definition in self._definitions:
-            if definition.name in user.badges:
-                continue
-            if definition.predicate(user, history):
-                user.badges.add(definition.name)
-                earned.append(definition.name)
-        return earned
+        earned: List[Tuple[int, str]] = []
+        for read, ladder in self._ladders:
+            value = read(user)
+            for threshold, index, name in ladder:
+                if threshold > value:
+                    break
+                if name not in badges:
+                    badges.add(name)
+                    earned.append((index, name))
+        for index, name, predicate in self._predicated:
+            if name not in badges and predicate(user, history):
+                badges.add(name)
+                earned.append((index, name))
+        earned.sort()
+        return [name for _, name in earned]

@@ -9,8 +9,11 @@ flows through the same stages the thesis describes:
    check-in will be considered invalid" (§2.3).
 2. **Cheater code** — the three server-side rules of
    :mod:`repro.lbsn.cheater_code`.
-3. **Rewards** — points, badges, mayorship recomputation, and specials, for
-   valid check-ins only.
+3. **Rewards** — points, badges, mayorship, and specials, for valid
+   check-ins only.  Mayorship is kept incrementally, one
+   :class:`~repro.lbsn.mayorship.MayorWindow` per venue; a venue whose
+   history arrives out of time order falls back to
+   :func:`~repro.lbsn.mayorship.decide_mayor`.
 
 The service never sees real GPS hardware; it trusts whatever coordinates the
 client reports — which is precisely the root vulnerability the paper
@@ -28,7 +31,7 @@ from repro.errors import ServiceError
 from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import haversine_m
 from repro.lbsn.cheater_code import CheaterCode, RuleAction
-from repro.lbsn.mayorship import decide_mayor
+from repro.lbsn.mayorship import MayorWindow, decide_mayor
 from repro.lbsn.models import (
     CheckIn,
     CheckInResult,
@@ -218,6 +221,8 @@ class LbsnService:
             self._venues_created = None
         #: venue-ids currently mayored, per user.
         self._mayor_venues: Dict[int, Set[int]] = {}
+        #: Incremental mayorship state, per venue-id (see _settle_mayor).
+        self._mayor_windows: Dict[int, MayorWindow] = {}
         self._lock = threading.RLock()
 
     # Registration -------------------------------------------------------
@@ -454,21 +459,6 @@ class LbsnService:
         venue = self.store.get_venue(venue_id)
         return None if venue is None else venue.location
 
-    def _first_valid_of_day(self, user_id: int, now: float) -> bool:
-        """Is this the user's first valid check-in of the calendar day?
-
-        Scans backwards and stops at the first record from an earlier day,
-        so the cost is bounded by one day's activity, not lifetime history.
-        """
-        today = day_index(now)
-        for checkin in reversed(self.store.checkins_of_user(user_id)):
-            day = day_index(checkin.timestamp)
-            if day < today:
-                break
-            if day == today and checkin.status is CheckInStatus.VALID:
-                return False
-        return True
-
     def _record(
         self,
         user: User,
@@ -552,7 +542,10 @@ class LbsnService:
         """Apply the full reward pipeline for a valid check-in."""
         trace_id = trace.trace_id if trace is not None else None
         first_visit = venue.venue_id not in user.venues_visited
-        first_of_day = self._first_valid_of_day(user.user_id, now)
+        today = day_index(now)
+        # active_days holds every day with a valid check-in, backdated
+        # ones included, so one bonus per day whatever the arrival order.
+        first_of_day = today not in user.active_days
 
         checkin = CheckIn(
             checkin_id=self.store.checkin_ids.allocate(),
@@ -574,23 +567,19 @@ class LbsnService:
         user.total_checkins += 1
         user.valid_checkins += 1
         user.venues_visited.add(venue.venue_id)
-        user.active_days.add(day_index(now))
+        user.active_days.add(today)
         venue.checkin_count += 1
         venue.unique_visitors.add(user.user_id)
         venue.record_recent_visitor(user.user_id)
 
-        # Mayorship recomputation over the 60-day window.
-        decision = decide_mayor(
-            self.store.checkins_at_venue(venue.venue_id),
-            now,
-            venue.mayor_id,
-        )
+        # Mayorship over the 60-day window.
+        incumbent = venue.mayor_id
+        mayor_changed = self._settle_mayor(venue, now)
         became_mayor = False
         lost_mayor: Optional[int] = None
-        if decision.changed:
-            lost_mayor = decision.previous_mayor_id
-            self._transfer_mayorship(venue, decision.mayor_id)
-            became_mayor = decision.mayor_id == user.user_id
+        if mayor_changed:
+            lost_mayor = incumbent
+            became_mayor = venue.mayor_id == user.user_id
 
         # Points.
         awarded = self.points.score(first_visit, first_of_day, became_mayor)
@@ -644,7 +633,7 @@ class LbsnService:
                     trace_id=trace_id,
                 )
             )
-            if decision.changed:
+            if mayor_changed:
                 self.event_bus.publish(
                     events.MayorChanged(
                         seq=self.store.allocate_event_seq(),
@@ -663,6 +652,27 @@ class LbsnService:
             lost_mayor_user_id=lost_mayor,
             special_unlocked=special,
         )
+
+    def _settle_mayor(self, venue: Venue, now: float) -> bool:
+        """Bring ``venue``'s mayor up to ``now``; True when it changed.
+
+        The venue's :class:`MayorWindow` decides while its history stays
+        in time order; after that, :func:`decide_mayor` rescans it.
+        """
+        window = self._mayor_windows.get(venue.venue_id)
+        if window is None:
+            window = self._mayor_windows[venue.venue_id] = MayorWindow(
+                self.store.checkins_at_venue(venue.venue_id)
+            )
+        incumbent = venue.mayor_id
+        if window.advance(now):
+            mayor_id = window.mayor(incumbent)
+        else:
+            mayor_id = decide_mayor(window.history, now, incumbent).mayor_id
+        if mayor_id == incumbent:
+            return False
+        self._transfer_mayorship(venue, mayor_id)
+        return True
 
     def _transfer_mayorship(
         self, venue: Venue, new_mayor_id: Optional[int]
@@ -727,20 +737,14 @@ class LbsnService:
         """
         with self._lock:
             venue = self.store.require_venue(venue_id)
-            decision = decide_mayor(
-                self.store.checkins_at_venue(venue_id),
-                self.clock.now(),
-                venue.mayor_id,
-            )
-            if decision.changed:
-                self._transfer_mayorship(venue, decision.mayor_id)
+            self._settle_mayor(venue, self.clock.now())
             return venue.mayor_id
 
     def refresh_all_mayorships(self) -> int:
         """Recompute every venue's mayor; returns how many changed."""
-        changed = 0
-        for venue in self.store.iter_venues():
-            before = venue.mayor_id
-            if self.refresh_mayorship(venue.venue_id) != before:
-                changed += 1
-        return changed
+        with self._lock:
+            now = self.clock.now()
+            return sum(
+                self._settle_mayor(venue, now)
+                for venue in self.store.iter_venues()
+            )

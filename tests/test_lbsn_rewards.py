@@ -1,11 +1,14 @@
 """Unit tests for points and the badge engine."""
 
+import pytest
 
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckIn, CheckInStatus, User
 from repro.lbsn.rewards import (
+    BadgeDefinition,
     BadgeEngine,
     PointsPolicy,
+    counter_badge,
     default_badges,
     milestone_badges,
 )
@@ -203,3 +206,25 @@ class TestBadgeEngineMechanics:
         user = make_user()
         user.badges = {badge.name for badge in engine.catalogue}
         assert engine.evaluate(user, [checkin(1, 0.0)]) == []
+
+    def test_earned_in_catalogue_order_across_ladders_and_predicates(self):
+        engine = BadgeEngine([
+            counter_badge("Ten", "", "valid_checkins", 10),
+            BadgeDefinition("Always", "", lambda user, history: True),
+            counter_badge("Two venues", "", "venues_visited", 2),
+            counter_badge("One", "", "valid_checkins", 1),
+            counter_badge("Hundred", "", "valid_checkins", 100),
+        ])
+        user = make_user(valid_checkins=10, venues_visited={1, 2})
+        earned = engine.evaluate(user, [checkin(1, 0.0)])
+        assert earned == ["Ten", "Always", "Two venues", "One"]
+        assert engine.evaluate(user, [checkin(1, 0.0)]) == []
+
+    def test_counter_needs_threshold_and_a_known_name(self):
+        never = lambda user, history: False  # noqa: E731
+        with pytest.raises(ValueError):
+            BadgeDefinition("A", "", never, counter="valid_checkins")
+        with pytest.raises(ValueError):
+            BadgeDefinition("B", "", never, threshold=3)
+        with pytest.raises(ValueError):
+            BadgeDefinition("C", "", never, counter="tips", threshold=3)

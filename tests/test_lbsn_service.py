@@ -150,6 +150,34 @@ class TestRewardPipeline:
         # Second: base + first-visit + mayor (no first-of-day).
         assert second.points == 8
 
+    def test_first_of_day_bonus_once_after_backdated_checkin(self, service):
+        # A backdated check-in lands between two on the same later day;
+        # the later day's bonus must still be paid only once.
+        user = service.register_user("Backdater")
+        venues = [
+            service.create_venue(
+                f"Stop {index}", destination_point(ABQ, 90.0, 400.0 * index)
+            )
+            for index in range(3)
+        ]
+
+        def visit(venue, timestamp):
+            return service.check_in(
+                user.user_id, venue.venue_id, venue.location,
+                timestamp=timestamp,
+            )
+
+        today = visit(venues[0], SECONDS_PER_DAY + 3_600.0)
+        backdated = visit(venues[1], 3_600.0)
+        later_today = visit(venues[2], SECONDS_PER_DAY + 3 * 3_600.0)
+        for result in (today, backdated, later_today):
+            assert result.checkin.status is CheckInStatus.VALID
+        # base + first-visit + first-of-day + mayor, on each day's first.
+        assert today.points == 11
+        assert backdated.points == 11
+        # base + first-visit + mayor: day 1 already had its bonus.
+        assert later_today.points == 8
+
 
 class TestMayorshipFlow:
     def test_mayor_transfer_emits_loser(self, populated):

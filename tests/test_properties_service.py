@@ -1,9 +1,14 @@
 """Stateful property testing of the LBSN service's bookkeeping.
 
 Hypothesis drives random sequences of registrations and check-ins (honest,
-teleporting, rapid) against a live service, then checks the global
-invariants after every step: counters reconcile, mayorship indexes agree
-from every direction, and flagged check-ins never produce rewards.
+teleporting, rapid, backdated) and mayorship refreshes against a live
+service, then checks the global invariants after every step: counters
+reconcile, mayorship indexes agree from every direction, and flagged
+check-ins never produce rewards.  It also checks the incremental reward
+stage against the reference rules step by step: every mayor equals what
+:func:`decide_mayor` computes from the venue's full history, and every
+check-in's new badges equal a naive run of every predicate in the
+catalogue.
 """
 
 from hypothesis import settings
@@ -17,17 +22,21 @@ from hypothesis import strategies as st
 
 from repro.geo.coordinates import GeoPoint
 from repro.geo.distance import destination_point
+from repro.lbsn.mayorship import decide_mayor
 from repro.lbsn.models import CheckInStatus
 from repro.lbsn.service import LbsnService
+from repro.simnet.clock import SECONDS_PER_DAY
 
 ANCHOR = GeoPoint(39.0, -95.0)
 FAR = GeoPoint(47.0, -122.0)
 
 
 class ServiceMachine(RuleBasedStateMachine):
+    store_shards = 1
+
     @initialize()
     def setup(self) -> None:
-        self.service = LbsnService()
+        self.service = LbsnService(store_shards=self.store_shards)
         self.users = []
         self.venues = []
         self.now = 0.0
@@ -55,19 +64,46 @@ class ServiceMachine(RuleBasedStateMachine):
         return self.now
 
     @rule(
-        user_index=st.integers(min_value=0, max_value=50),
-        venue_index=st.integers(min_value=0, max_value=50),
-        gap_minutes=st.floats(min_value=0.5, max_value=300.0),
+        user_index=st.integers(min_value=0, max_value=5),
+        venue_index=st.integers(min_value=0, max_value=5),
+        gap_minutes=st.one_of(
+            st.floats(min_value=0.5, max_value=300.0),
+            # Day-scale gaps, so mayors count distinct days and age out.
+            st.floats(min_value=1_440.0, max_value=1_440.0 * 25),
+        ),
         teleport=st.booleans(),
     )
     def check_in(self, user_index, venue_index, gap_minutes, teleport):
         if not self.users or not self.venues:
             return
+        timestamp = self._advance(gap_minutes * 60.0)
+        self._check_in_and_compare(
+            user_index, venue_index, timestamp, teleport
+        )
+
+    @rule(
+        user_index=st.integers(min_value=0, max_value=5),
+        venue_index=st.integers(min_value=0, max_value=5),
+        back_hours=st.floats(min_value=0.5, max_value=24.0 * 70),
+    )
+    def backdated_check_in(self, user_index, venue_index, back_hours):
+        # Arrives after later ones: the venue's history goes out of time
+        # order, which the service must handle with the reference rule.
+        if not self.users or not self.venues:
+            return
+        timestamp = max(0.0, self.now - back_hours * 3_600.0)
+        self._check_in_and_compare(user_index, venue_index, timestamp, False)
+
+    def _check_in_and_compare(
+        self, user_index, venue_index, timestamp, teleport
+    ):
+        service = self.service
         user = self.users[user_index % len(self.users)]
         venue = self.venues[venue_index % len(self.venues)]
-        timestamp = self._advance(gap_minutes * 60.0)
         location = FAR if teleport else venue.location
-        result = self.service.check_in(
+        incumbent = venue.mayor_id
+        badges_before = set(user.badges)
+        result = service.check_in(
             user.user_id, venue.venue_id, location, timestamp=timestamp
         )
         # Local invariants on the single result.
@@ -75,6 +111,59 @@ class ServiceMachine(RuleBasedStateMachine):
             assert result.points == 0
             assert result.new_badges == []
             assert not result.became_mayor
+            assert venue.mayor_id == incumbent
+            return
+        # The mayor is the reference rule's over the venue's history.
+        expected = decide_mayor(
+            service.store.checkins_at_venue(venue.venue_id),
+            timestamp,
+            incumbent,
+        )
+        assert venue.mayor_id == expected.mayor_id
+        assert result.became_mayor == (
+            expected.changed and expected.mayor_id == user.user_id
+        )
+        # The new badges are every catalogue predicate that newly holds.
+        history = service.store.checkins_of_user(user.user_id)
+        naive = [
+            definition.name
+            for definition in service.badges.catalogue
+            if definition.name not in badges_before
+            and definition.predicate(user, history)
+        ]
+        assert result.new_badges == naive
+
+    @rule(
+        gap_days=st.floats(min_value=0.0, max_value=90.0),
+        venue_index=st.integers(min_value=0, max_value=5),
+        every_venue=st.booleans(),
+    )
+    def refresh_after_gap(self, gap_days, venue_index, every_venue):
+        if not self.venues:
+            return
+        service = self.service
+        now = self._advance(gap_days * SECONDS_PER_DAY)
+        service.clock.advance_to(now)
+        venues = (
+            self.venues
+            if every_venue
+            else [self.venues[venue_index % len(self.venues)]]
+        )
+        expected = {
+            venue.venue_id: decide_mayor(
+                service.store.checkins_at_venue(venue.venue_id),
+                now,
+                venue.mayor_id,
+            )
+            for venue in venues
+        }
+        if every_venue:
+            changed = service.refresh_all_mayorships()
+            assert changed == sum(d.changed for d in expected.values())
+        else:
+            service.refresh_mayorship(venues[0].venue_id)
+        for venue in venues:
+            assert venue.mayor_id == expected[venue.venue_id].mayor_id
 
     @invariant()
     def totals_reconcile(self):
@@ -124,7 +213,16 @@ class ServiceMachine(RuleBasedStateMachine):
                 assert user_id in venue.unique_visitors
 
 
+class ShardedServiceMachine(ServiceMachine):
+    store_shards = 2
+
+
 TestServiceStateMachine = ServiceMachine.TestCase
 TestServiceStateMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
+    max_examples=50, stateful_step_count=50, deadline=None
+)
+
+TestShardedServiceStateMachine = ShardedServiceMachine.TestCase
+TestShardedServiceStateMachine.settings = settings(
+    max_examples=20, stateful_step_count=50, deadline=None
 )
