@@ -75,11 +75,15 @@ class DistanceBoundingVerifier:
         """The distance upper bound after all rounds.
 
         Subtracts only the *guaranteed* processing floor, so the bound is
-        conservative (never below the true distance).
+        conservative (never below the true distance).  The flight time is
+        the same every round, so it is computed once; the rounds draw
+        processing delays exactly as :meth:`measure_rtt_s` does.
         """
+        flight = 2.0 * haversine_m(verifier_at, device_at) / SPEED_OF_LIGHT_MPS
+        uniform = self._rng.uniform
+        low, high = self.config.processing_min_s, self.config.processing_max_s
         best_rtt = min(
-            self.measure_rtt_s(verifier_at, device_at)
-            for _ in range(self.config.rounds)
+            flight + uniform(low, high) for _ in range(self.config.rounds)
         )
         corrected = max(0.0, best_rtt - self.config.processing_min_s)
         return corrected * SPEED_OF_LIGHT_MPS / 2.0

@@ -12,35 +12,54 @@ recovery is a pure function of bytes on disk:
 
 Record format (little-endian), one record per event::
 
-    +----------+----------+------------------+
-    | length u32 | crc32 u32 | payload bytes  |
-    +----------+----------+------------------+
+    +------------+-----------+---------------+
+    | length u32 | crc32 u32 | payload bytes |
+    +------------+-----------+---------------+
 
-``payload`` is the canonical JSON encoding of one
-:class:`~repro.stream.events.StreamEvent` (sorted keys, compact
-separators — byte-stable across runs); ``crc32`` is computed over the
-payload, so a flipped bit anywhere in the record is rejected.  Segments
-open with an 8-byte magic (:data:`SEGMENT_MAGIC`) and rotate at
-``segment_max_bytes``; a writer never appends to a pre-existing segment
-(its tail may be torn), it always opens a fresh one.
+``crc32`` is computed over the payload, so a flipped bit anywhere in the
+record is rejected.  The payload is a fixed-layout binary encoding of one
+:class:`~repro.stream.events.StreamEvent`: one tag byte naming the event
+type, then every field in dataclass declaration order:
+
+    ===================  ==========================================
+    field type           bytes
+    ===================  ==========================================
+    ``int``              ``<q`` (8, signed; outside int64 is refused)
+    ``float``            ``<d`` (8)
+    ``bool``             1 (``0x00`` / ``0x01``)
+    ``GeoPoint``         ``<dd`` latitude, longitude (16)
+    ``str``              ``<I`` byte length + UTF-8 (``surrogatepass``)
+    ``Optional[T]``      presence byte (``0x00`` = ``None``), then ``T``
+    ===================  ==========================================
+
+Each class's layout is derived once from :func:`dataclasses.fields` and
+its type hints, so a new event field is encoded automatically (or the
+import fails on a type the table lacks) — never silently dropped.  The
+encoding is deterministic and byte-stable.  Segments open with an 8-byte
+magic (:data:`SEGMENT_MAGIC`, whose last digit is the format version) and
+rotate at ``segment_max_bytes``; a writer never appends to a pre-existing
+segment (its tail may be torn), it always opens a fresh one.
 
 The reader is torn-tail tolerant by design: a crash mid-``write`` leaves
 a truncated header, a short payload, or a corrupt checksum at the very
 end of the *final* segment, and :meth:`WalReader.scan` stops cleanly
-there (``torn_tail`` reports what it saw).  The same damage in a
-non-final segment is a mid-log gap no replay can paper over, so it
-always raises :class:`WalCorruptionError` — silently skipping interior
-records would desynchronise every seq-ordered consumer downstream.
+there (``torn_tail`` reports what it saw).  Damage with more bytes after
+it — in a non-final segment, or before the end of the final one — is a
+mid-log gap no replay can paper over, so it always raises
+:class:`WalCorruptionError`: silently skipping interior records would
+desynchronise every seq-ordered consumer downstream.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import struct
 import time
+import types
+import typing
 import zlib
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
@@ -60,13 +79,14 @@ from repro.stream.events import (
 #: First 8 bytes of every segment file; the trailing digit is the format
 #: version (docs/DURABILITY.md documents the layout; a parity test keeps
 #: the doc and this constant identical).
-SEGMENT_MAGIC = b"RWALSEG1"
+SEGMENT_MAGIC = b"RWALSEG2"
 
 #: ``<length u32><crc32 u32>`` record header.
 _RECORD_HEADER = struct.Struct("<II")
 
 #: Hard ceiling on a single record's payload, far above any real event;
-#: a length field past this is corruption, not a huge record.
+#: larger records are refused at write time, and a length field past
+#: this is corruption, not a huge record.
 MAX_RECORD_BYTES = 1 << 20
 
 
@@ -85,48 +105,219 @@ class WalCorruptionError(WalError):
 #: Wire tag ↔ event type.  Tags are part of the on-disk format: never
 #: renumber, only append.
 _TAG_TO_TYPE = {
-    "user": UserRegistered,
-    "venue": VenueCreated,
-    "accept": CheckInAccepted,
-    "flag": CheckInFlagged,
-    "reject": CheckInRejected,
-    "mayor": MayorChanged,
+    1: UserRegistered,
+    2: VenueCreated,
+    3: CheckInAccepted,
+    4: CheckInFlagged,
+    5: CheckInRejected,
+    6: MayorChanged,
 }
-_TYPE_TO_TAG = {cls: tag for tag, cls in _TAG_TO_TYPE.items()}
 
-#: Event fields holding a :class:`GeoPoint` (encoded as [lat, lon]).
-_GEO_FIELDS = frozenset({"venue_location", "reported_location", "location"})
+_PRESENT, _ABSENT = b"\x01", b"\x00"
+_LENGTH = struct.Struct("<I")
+
+#: Field type → its ``struct`` codes (the layout table in the module
+#: docstring); ``None`` marks the one variable-width type, ``str``.
+_CODES = {int: "q", float: "d", bool: "?", GeoPoint: "dd", str: None}
+
+
+class _Run:
+    """Adjacent fixed-width fields, packed by one ``struct`` call."""
+
+    __slots__ = ("names", "struct", "values", "checked", "geo_mask")
+
+    def __init__(self, fields: List[Tuple[str, type]]) -> None:
+        self.names = [name for name, _ in fields]
+        self.struct = struct.Struct(
+            "<" + "".join(_CODES[kind] for _, kind in fields)
+        )
+        flat = []
+        for name, kind in fields:
+            if kind is GeoPoint:
+                flat += [f"{name}.latitude", f"{name}.longitude"]
+            else:
+                flat.append(name)
+        get = attrgetter(*flat)
+        self.values = get if len(flat) > 1 else (lambda event: (get(event),))
+        # struct refuses a wrong-typed int or float itself, but would
+        # pack any object as a bool, and any object with ``latitude`` and
+        # ``longitude`` attributes as a point.
+        self.checked = tuple(
+            (name, kind) for name, kind in fields if kind in (bool, GeoPoint)
+        )
+        geo_mask = tuple(kind is GeoPoint for _, kind in fields)
+        self.geo_mask = geo_mask if any(geo_mask) else None
+
+    def encode(self, event, parts: list) -> None:
+        for name, kind in self.checked:
+            value = getattr(event, name)
+            if not isinstance(value, kind):
+                raise WalError(
+                    f"{type(event).__name__}.{name}: expected "
+                    f"{kind.__name__}, got {value!r}"
+                )
+        try:
+            parts.append(self.struct.pack(*self.values(event)))
+        except struct.error as exc:
+            raise WalError(
+                f"cannot encode {type(event).__name__} fields "
+                f"{', '.join(self.names)}: {exc}"
+            ) from exc
+
+    def decode(self, buf, offset: int, values: list) -> int:
+        raw = self.struct.unpack_from(buf, offset)
+        if self.geo_mask is None:
+            values.extend(raw)
+        else:
+            at = 0
+            for is_geo in self.geo_mask:
+                if is_geo:
+                    values.append(GeoPoint(raw[at], raw[at + 1]))
+                    at += 2
+                else:
+                    values.append(raw[at])
+                    at += 1
+        return offset + self.struct.size
+
+
+class _Str:
+    """One ``str`` field: ``u32`` byte length, then UTF-8."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def encode(self, event, parts: list) -> None:
+        value = getattr(event, self.name)
+        if not isinstance(value, str):
+            raise WalError(
+                f"{type(event).__name__}.{self.name}: expected str, "
+                f"got {value!r}"
+            )
+        raw = value.encode("utf-8", "surrogatepass")
+        parts.append(_LENGTH.pack(len(raw)))
+        parts.append(raw)
+
+    def decode(self, buf, offset: int, values: list) -> int:
+        (length,) = _LENGTH.unpack_from(buf, offset)
+        start = offset + _LENGTH.size
+        end = start + length
+        if end > len(buf):
+            raise WalCorruptionError(f"truncated string field {self.name}")
+        values.append(str(buf[start:end], "utf-8", "surrogatepass"))
+        return end
+
+
+class _Optional:
+    """A presence byte, then the wrapped step when the field is not None."""
+
+    __slots__ = ("name", "step")
+
+    def __init__(self, name: str, step) -> None:
+        self.name = name
+        self.step = step
+
+    def encode(self, event, parts: list) -> None:
+        if getattr(event, self.name) is None:
+            parts.append(_ABSENT)
+        else:
+            parts.append(_PRESENT)
+            self.step.encode(event, parts)
+
+    def decode(self, buf, offset: int, values: list) -> int:
+        present = buf[offset]
+        if present == 0:
+            values.append(None)
+            return offset + 1
+        if present != 1:
+            raise WalCorruptionError(f"bad presence byte {present}")
+        return self.step.decode(buf, offset + 1, values)
+
+
+class _Layout:
+    """One event type's wire layout, derived from its dataclass fields."""
+
+    __slots__ = ("cls", "tag", "steps")
+
+    def __init__(self, tag: int, cls: type) -> None:
+        self.cls = cls
+        self.tag = bytes([tag])
+        self.steps: list = []
+        hints = typing.get_type_hints(cls)
+        run: List[Tuple[str, type]] = []
+        for field in dataclasses.fields(cls):
+            kind, optional = _kind_of(cls, field.name, hints[field.name])
+            if _CODES[kind] is not None and not optional:
+                run.append((field.name, kind))
+                continue
+            if run:
+                self.steps.append(_Run(run))
+                run = []
+            step = _Str(field.name) if kind is str else _Run([(field.name, kind)])
+            self.steps.append(_Optional(field.name, step) if optional else step)
+        if run:
+            self.steps.append(_Run(run))
+
+    def encode(self, event) -> bytes:
+        parts = [self.tag]
+        for step in self.steps:
+            step.encode(event, parts)
+        return b"".join(parts)
+
+    def decode(self, payload) -> StreamEvent:
+        values: list = []
+        offset = 1
+        for step in self.steps:
+            offset = step.decode(payload, offset, values)
+        if offset != len(payload):
+            raise WalCorruptionError(
+                f"{len(payload) - offset} trailing payload bytes after "
+                f"a {self.cls.__name__}"
+            )
+        return self.cls(*values)
+
+
+def _kind_of(cls: type, name: str, hint) -> Tuple[type, bool]:
+    """``(type, optional)`` for one field's type hint."""
+    optional = False
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        optional = len(args) < len(typing.get_args(hint))
+        hint = args[0] if len(args) == 1 else hint
+    if hint not in _CODES:
+        raise TypeError(
+            f"{cls.__name__}.{name}: no WAL encoding for type {hint!r}"
+        )
+    return hint, optional
+
+
+_LAYOUT_BY_TAG = {tag: _Layout(tag, cls) for tag, cls in _TAG_TO_TYPE.items()}
+_LAYOUT_BY_TYPE = {layout.cls: layout for layout in _LAYOUT_BY_TAG.values()}
 
 
 def encode_event(event: StreamEvent) -> bytes:
-    """Serialize one event to its canonical payload bytes.
+    """Serialize one event to its payload bytes.
 
-    The encoding is byte-stable (sorted keys, compact separators) so the
-    same event always produces the same record — which is what lets the
-    chaos-style digest comparisons treat WAL bytes as a witness.
+    The encoding is deterministic and byte-stable, so the same event
+    always produces the same record — which is what lets the chaos-style
+    digest comparisons treat WAL bytes as a witness.  A value the layout
+    cannot carry (an int outside int64, a wrong type) raises
+    :class:`WalError`.
     """
-    tag = _TYPE_TO_TAG.get(type(event))
-    if tag is None:
+    layout = _LAYOUT_BY_TYPE.get(type(event))
+    if layout is None:
         raise WalError(f"unknown event type: {type(event).__name__}")
-    doc = {"t": tag}
-    for field in dataclasses.fields(event):
-        value = getattr(event, field.name)
-        if field.name in _GEO_FIELDS and value is not None:
-            value = [value.latitude, value.longitude]
-        doc[field.name] = value
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return layout.encode(event)
 
 
 def decode_event(payload: bytes) -> StreamEvent:
     """Rebuild the event a payload encodes (inverse of :func:`encode_event`)."""
     try:
-        doc = json.loads(payload)
-        tag = doc.pop("t")
-        cls = _TAG_TO_TYPE[tag]
-        for name in _GEO_FIELDS & doc.keys():
-            if doc[name] is not None:
-                doc[name] = GeoPoint(doc[name][0], doc[name][1])
-        return cls(**doc)
+        layout = _LAYOUT_BY_TAG.get(payload[0])
+        if layout is None:
+            raise WalCorruptionError(f"unknown event tag {payload[0]}")
+        return layout.decode(payload)
     except WalError:
         raise
     except Exception as exc:
@@ -136,8 +327,17 @@ def decode_event(payload: bytes) -> StreamEvent:
 
 
 def encode_record(event: StreamEvent) -> bytes:
-    """One full framed record: header + payload."""
+    """One full framed record: header + payload.
+
+    Raises :class:`WalError` for a payload over :data:`MAX_RECORD_BYTES`,
+    which no reader would accept.
+    """
     payload = encode_event(event)
+    if len(payload) > MAX_RECORD_BYTES:
+        raise WalError(
+            f"{type(event).__name__} record of {len(payload)} bytes exceeds "
+            f"MAX_RECORD_BYTES ({MAX_RECORD_BYTES})"
+        )
     return _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -398,38 +598,55 @@ class WalReader:
         self, path: Path
     ) -> Iterator[Tuple[Optional[StreamEvent], Optional[str]]]:
         """Yield ``(event, None)`` per good record, ``(None, problem)`` once
-        at the first bad one (then stop)."""
+        at a bad record that runs to the end of the file (then stop).
+
+        A bad record with bytes after it is not a torn write: it raises
+        :class:`WalCorruptionError` ("mid-log") even in the final segment.
+        """
         with open(path, "rb") as handle:
-            magic = handle.read(len(SEGMENT_MAGIC))
-            if len(magic) < len(SEGMENT_MAGIC):
-                # A zero-byte or header-short segment: the writer died
-                # between creating the file and writing its magic.
-                if magic:
-                    yield None, "short segment header"
+            data = handle.read()
+        magic = data[: len(SEGMENT_MAGIC)]
+        if len(magic) < len(SEGMENT_MAGIC):
+            # A zero-byte or header-short segment: the writer died
+            # between creating the file and writing its magic.
+            if magic:
+                yield None, "short segment header"
+            return
+        if magic != SEGMENT_MAGIC:
+            raise WalCorruptionError(
+                f"{path.name}: bad segment magic {magic!r}; this reader "
+                f"reads only WAL format version {SEGMENT_MAGIC[-1:].decode()}"
+                f" ({SEGMENT_MAGIC.decode()})"
+            )
+        end = len(data)
+        offset = len(SEGMENT_MAGIC)
+        while offset < end:
+            start = offset
+            if end - offset < _RECORD_HEADER.size:
+                yield None, "torn record header"
                 return
-            if magic != SEGMENT_MAGIC:
+            length, crc = _RECORD_HEADER.unpack_from(data, offset)
+            offset += _RECORD_HEADER.size
+            if length > MAX_RECORD_BYTES:
+                # The length field itself is garbage, so only a header
+                # with nothing after it can be a torn write.
+                problem = f"implausible record length {length}"
+            elif offset + length > end:
+                yield None, "torn record payload"
+                return
+            else:
+                payload = data[offset : offset + length]
+                offset += length
+                if zlib.crc32(payload) == crc:
+                    yield decode_event(payload), None
+                    continue
+                problem = "checksum mismatch"
+            if offset < end:
                 raise WalCorruptionError(
-                    f"{path.name}: bad segment magic {magic!r}"
+                    f"{path.name}: {problem} at offset {start} (mid-log)"
                 )
-            while True:
-                header = handle.read(_RECORD_HEADER.size)
-                if not header:
-                    return
-                if len(header) < _RECORD_HEADER.size:
-                    yield None, "torn record header"
-                    return
-                length, crc = _RECORD_HEADER.unpack(header)
-                if length > MAX_RECORD_BYTES:
-                    yield None, f"implausible record length {length}"
-                    return
-                payload = handle.read(length)
-                if len(payload) < length:
-                    yield None, "torn record payload"
-                    return
-                if zlib.crc32(payload) != crc:
-                    yield None, "checksum mismatch"
-                    return
-                yield decode_event(payload), None
+            yield None, problem
+            return
 
     def read_all(
         self, after_seq: int = -1, strict: bool = False

@@ -106,6 +106,9 @@ class ServiceCounters:
     _denials_metric: Optional[object] = field(
         default=None, repr=False, compare=False
     )
+    _denial_children: Dict[str, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def bind_metrics(self, metrics: MetricsRegistry) -> "ServiceCounters":
         """Mirror every recorded outcome into exported counters.
@@ -116,6 +119,7 @@ class ServiceCounters:
         status children are pre-bound here so the per-check-in hot path
         is a dict lookup plus one counter increment, not a ``labels()``
         resolution (the E20 overhead bench keeps this path honest).
+        Denial children are bound on a rule's first denial and cached.
         """
         checkins_metric = metrics.counter(
             "repro_lbsn_checkins_total",
@@ -131,6 +135,7 @@ class ServiceCounters:
             "Flagged or rejected check-ins, by denying rule.",
             ("rule",),
         )
+        self._denial_children = {}
         return self
 
     def record(self, status: CheckInStatus, rule: Optional[str]) -> None:
@@ -146,7 +151,11 @@ class ServiceCounters:
         if self._status_children is not None:
             self._status_children[status].inc()
             if rule:
-                self._denials_metric.labels(rule).inc()
+                child = self._denial_children.get(rule)
+                if child is None:
+                    child = self._denials_metric.labels(rule)
+                    self._denial_children[rule] = child
+                child.inc()
 
 
 class LbsnService:

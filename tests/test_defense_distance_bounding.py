@@ -85,3 +85,42 @@ class TestVerification:
         few_bounds = [few.bound_distance_m(VENUE, device) for _ in range(30)]
         many_bounds = [many.bound_distance_m(VENUE, device) for _ in range(30)]
         assert sum(many_bounds) / 30 < sum(few_bounds) / 30
+
+
+def per_round_bound_m(verifier, verifier_at, device_at):
+    """The protocol as first written: one full RTT measurement per round."""
+    best_rtt = min(
+        verifier.measure_rtt_s(verifier_at, device_at)
+        for _ in range(verifier.config.rounds)
+    )
+    corrected = max(0.0, best_rtt - verifier.config.processing_min_s)
+    return corrected * SPEED_OF_LIGHT_MPS / 2.0
+
+
+class TestOneDistancePerClaim:
+    """Measuring the distance once per claim changes no bit of the bound."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 16, 64])
+    def test_bound_and_rng_state_match_the_per_round_loop(self, rounds):
+        config = DistanceBoundingConfig(rounds=rounds)
+        fast = DistanceBoundingVerifier(config, seed=11)
+        reference = DistanceBoundingVerifier(config, seed=11)
+        for index, meters in enumerate(
+            (0.0, 3.0, 80.0, 249.0, 251.0, 4_000.0, 1_200_000.0)
+        ):
+            device = destination_point(VENUE, 37.0 * index, meters)
+            assert fast.bound_distance_m(VENUE, device) == per_round_bound_m(
+                reference, VENUE, device
+            )
+            assert fast._rng.getstate() == reference._rng.getstate()
+
+    def test_verdicts_match_the_per_round_loop(self):
+        fast = DistanceBoundingVerifier(seed=5)
+        reference = DistanceBoundingVerifier(seed=5)
+        for index in range(50):
+            device = destination_point(VENUE, 7.0 * index, 10.0 * index**2)
+            result = fast.verify(claim(device))
+            bound = per_round_bound_m(reference, VENUE, device)
+            assert result.estimated_distance_m == bound
+            assert result.accepted == (bound <= fast.config.max_distance_m)
+        assert fast._rng.getstate() == reference._rng.getstate()

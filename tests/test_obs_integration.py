@@ -12,7 +12,11 @@ from repro.crawler import crawl_full_site
 from repro.crawler.worker import WorkerPool
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckInStatus
-from repro.lbsn.service import RULE_GPS_VERIFICATION, LbsnService
+from repro.lbsn.service import (
+    RULE_GPS_VERIFICATION,
+    LbsnService,
+    ServiceCounters,
+)
 from repro.lbsn.webserver import METRICS_CONTENT_TYPE, LbsnWebServer
 from repro.obs import MetricsRegistry
 from repro.simnet.http import HttpTransport, Router
@@ -54,6 +58,19 @@ class TestServicePipelineMetrics:
         assert denials[(RULE_GPS_VERIFICATION,)] == 1
         assert snap["repro_lbsn_users_registered_total"][()] == 1
         assert snap["repro_lbsn_venues_created_total"][()] == 1
+
+    def test_repeated_denials_count_per_rule_across_rebinds(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        counters = ServiceCounters().bind_metrics(first)
+        for rule in ("speed", "speed", "rapid-fire", "speed"):
+            counters.record(CheckInStatus.FLAGGED, rule)
+        counters.bind_metrics(second)
+        counters.record(CheckInStatus.REJECTED, "speed")
+        denials = first.snapshot()["repro_lbsn_checkin_denials_total"]
+        assert denials == {("speed",): 3, ("rapid-fire",): 1}
+        denials = second.snapshot()["repro_lbsn_checkin_denials_total"]
+        assert denials == {("speed",): 1}
+        assert counters.flagged_by_rule == {"speed": 4, "rapid-fire": 1}
 
     def test_every_checkin_runs_under_the_commit_span(self):
         registry = MetricsRegistry()
