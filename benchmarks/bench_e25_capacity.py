@@ -1,24 +1,19 @@
-"""E25 (extension) — store capacity: sharded group-commit vs one big lock.
+"""E25 (extension) — store capacity: group commit vs per-check-in commits.
 
 The paper crawled 1.89 M users and 5.6 M venues through Foursquare's
-production write path; repro's single-lock :class:`DataStore` serialises
-every committed check-in behind one RLock, one sequencer hit, and one
-histogram observation.  E25 measures what the PR's two levers buy at
-8 concurrent writers:
-
-* **N shard locks** (``ShardedDataStore``) — commits for different
-  users stop queueing on one lock;
-* **group commit** (``add_checkins_committed``) — one lock acquisition
-  and one contiguous seq block per shard flush instead of per check-in.
+production write path; repro's :class:`DataStore` serialises every
+committed check-in behind one RLock and one histogram observation.  E25
+measures what **group commit** (``add_checkins_committed``) buys at 8
+concurrent writers: one lock acquisition and one contiguous seq block
+per batch instead of per check-in.
 
 Acceptance bars (asserted):
 
-1. **Throughput**: sustained check-ins/s in ``sharded-batch`` mode is
-   ``>= REPRO_E25_MIN_SPEEDUP`` (default 3.0) times the single-lock
-   per-check-in baseline, same corpus, same 8-writer schedule.
+1. **Throughput**: sustained check-ins/s in ``single-batch`` mode is
+   ``>= REPRO_E25_MIN_SPEEDUP`` (default 3.0) times the per-check-in
+   ``single`` baseline, same store, same corpus, same 8-writer schedule.
 2. **Seq contract**: every mode ends with ``watermark == total
-   check-ins`` — dense allocation, no burned slots, regardless of
-   store layout or batching.
+   check-ins`` — dense allocation, no burned slots, batched or not.
 
 Reported (not asserted): p50/p99 per-commit-call latency for every
 mode, the per-check-in p99 quotient for batched modes, and a
@@ -38,13 +33,13 @@ Environment knobs (CI smoke mode shrinks all of these):
 * ``REPRO_E25_CHECKINS_PER_WRITER`` — schedule length (default 6,000).
 * ``REPRO_E25_BATCH`` — group-commit batch size (default 256, the
   measured sweet spot).
-* ``REPRO_E25_SHARDS`` — shard count (default 4).
 * ``REPRO_E25_ROUNDS`` — rounds per mode (default 3).
 * ``REPRO_E25_MIN_SPEEDUP`` — bar 1's ratio (default 3.0).
 * ``REPRO_E25_FULL_USERS`` / ``REPRO_E25_FULL_VENUES`` /
   ``REPRO_E25_FULL_CHECKINS_PER_WRITER`` — the full-scale phase
-  (defaults 1,890,000 / 5,600,000 / 4,000); set the first to 0 to skip
-  the phase entirely.
+  (defaults 1,890,000 / 5,600,000 / 4,000; the default corpus holds
+  roughly 9 GB resident); set the first to 0 to skip the phase
+  entirely.
 """
 
 import dataclasses
@@ -71,7 +66,6 @@ VENUES = _env_int("REPRO_E25_VENUES", 56_000)
 WRITERS = _env_int("REPRO_E25_WRITERS", 8)
 CHECKINS = _env_int("REPRO_E25_CHECKINS_PER_WRITER", 6_000)
 BATCH = _env_int("REPRO_E25_BATCH", 256)
-SHARDS = _env_int("REPRO_E25_SHARDS", 4)
 ROUNDS = _env_int("REPRO_E25_ROUNDS", 3)
 MIN_SPEEDUP = float(os.environ.get("REPRO_E25_MIN_SPEEDUP", "3.0"))
 FULL_USERS = _env_int("REPRO_E25_FULL_USERS", FULL_SCALE_USERS)
@@ -81,7 +75,7 @@ FULL_CHECKINS = _env_int("REPRO_E25_FULL_CHECKINS_PER_WRITER", 4_000)
 
 def _fmt(result) -> str:
     return (
-        f"{result.mode:<13s} {result.store_kind:<16s} "
+        f"{result.mode:<13s} "
         f"{result.checkins_per_s:>9,.0f} ci/s  "
         f"p50 {result.p50_call_s * 1e6:>7.1f} us  "
         f"p99 {result.p99_call_s * 1e6:>8.1f} us  "
@@ -96,25 +90,24 @@ def test_e25_capacity(report_out, benchmark):
         writers=WRITERS,
         checkins_per_writer=CHECKINS,
         batch_size=BATCH,
-        store_shards=SHARDS,
     )
     corpus = build_corpus(config)
     rows = [
-        "E25 — store capacity: sharded group-commit vs single-lock store",
+        "E25 — store capacity: group commit vs per-check-in commits",
         (
             f"corpus {config.users:,} users / {config.venues:,} venues; "
             f"{config.writers} writers x {config.checkins_per_writer:,} "
             f"check-ins; batch={config.batch_size}; "
-            f"shards={config.store_shards}; best of {ROUNDS} rounds"
+            f"best of {ROUNDS} rounds"
         ),
         "",
     ]
 
-    # Phase 1: the four-mode comparison, best-of-ROUNDS each ----------
+    # Phase 1: the two-mode comparison, best-of-ROUNDS each -----------
     best = {}
     for mode in MODES:
         for round_index in range(ROUNDS):
-            if mode == "sharded-batch" and round_index == 0:
+            if mode == "single-batch" and round_index == 0:
                 # One round under pytest-benchmark for its timing table.
                 result = benchmark.pedantic(
                     lambda: run_capacity(config, mode, corpus=corpus),
@@ -123,7 +116,7 @@ def test_e25_capacity(report_out, benchmark):
                 )
             else:
                 result = run_capacity(config, mode, corpus=corpus)
-            # Bar 2: dense seq allocation survives every layout.
+            # Bar 2: dense seq allocation survives batching.
             assert result.watermark == result.total_checkins, (
                 f"{mode}: watermark {result.watermark} != "
                 f"{result.total_checkins} committed check-ins"
@@ -138,12 +131,12 @@ def test_e25_capacity(report_out, benchmark):
     ratio = speedup(best)
     rows.append("")
     rows.append(
-        f"speedup (sharded-batch / single): {ratio:.2f}x "
+        f"speedup (single-batch / single): {ratio:.2f}x "
         f"(bar: >= {MIN_SPEEDUP:.1f}x)"
     )
     assert ratio >= MIN_SPEEDUP, (
-        f"sharded-batch is {ratio:.2f}x the single-lock baseline "
-        f"({best['sharded-batch'].checkins_per_s:,.0f} vs "
+        f"single-batch is {ratio:.2f}x the per-check-in baseline "
+        f"({best['single-batch'].checkins_per_s:,.0f} vs "
         f"{best['single'].checkins_per_s:,.0f} ci/s); bar is "
         f"{MIN_SPEEDUP:.1f}x"
     )
@@ -154,7 +147,6 @@ def test_e25_capacity(report_out, benchmark):
         "venues": config.venues,
         "writers": config.writers,
         "batch_size": config.batch_size,
-        "shards": config.store_shards,
         "rounds": ROUNDS,
         "speedup": round(ratio, 2),
         "min_speedup_bar": MIN_SPEEDUP,
@@ -162,12 +154,8 @@ def test_e25_capacity(report_out, benchmark):
         "single_batch_checkins_per_s": round(
             best["single-batch"].checkins_per_s
         ),
-        "sharded_checkins_per_s": round(best["sharded"].checkins_per_s),
-        "sharded_batch_checkins_per_s": round(
-            best["sharded-batch"].checkins_per_s
-        ),
-        "sharded_batch_p99_call_us": round(
-            best["sharded-batch"].p99_call_s * 1e6, 1
+        "single_batch_p99_call_us": round(
+            best["single-batch"].p99_call_s * 1e6, 1
         ),
     }
     if FULL_USERS > 0:
@@ -178,13 +166,11 @@ def test_e25_capacity(report_out, benchmark):
             checkins_per_writer=FULL_CHECKINS,
         )
         users, venues = build_corpus(full_config)
-        store, populate_seconds = build_store(
-            full_config, "sharded-batch", users, venues
-        )
+        store, populate_seconds = build_store(users, venues)
         del users, venues
         full = run_capacity(
             full_config,
-            "sharded-batch",
+            "single-batch",
             store=store,
             populate_seconds=populate_seconds,
         )
@@ -197,7 +183,7 @@ def test_e25_capacity(report_out, benchmark):
         )
         rows.append(_fmt(full))
         rows.append(
-            f"p99 commit latency at paper scale: "
+            f"p99 commit latency at this corpus: "
             f"{full.p99_call_s * 1e3:.2f} ms per {full.batch_size}-batch "
             f"call ({full.per_checkin_p99_s * 1e6:.1f} us per check-in), "
             f"{full.checkins_per_s:,.0f} ci/s sustained"
@@ -207,7 +193,7 @@ def test_e25_capacity(report_out, benchmark):
                 "full_users": full_config.users,
                 "full_venues": full_config.venues,
                 "full_populate_seconds": round(full.populate_seconds, 1),
-                "full_sharded_batch_checkins_per_s": round(
+                "full_single_batch_checkins_per_s": round(
                     full.checkins_per_s
                 ),
                 "full_p99_call_ms": round(full.p99_call_s * 1e3, 3),

@@ -138,16 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
             "/debug/vars JSON shape (default text)"
         ),
     )
-    metrics.add_argument(
-        "--store-shards",
-        type=int,
-        default=1,
-        help=(
-            "shard the service's datastore N ways; N > 1 adds the "
-            "per-shard repro_store_shard_* families to the snapshot "
-            "(default 1: the single-lock store)"
-        ),
-    )
 
     top = sub.add_parser(
         "top",
@@ -260,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay the same seeds and assert byte-identical digests",
     )
-    chaos.add_argument(
-        "--store-shards",
-        type=int,
-        default=1,
-        help="run the storm against an N-way sharded datastore "
-        "(default 1: the single-lock store)",
-    )
 
     snapshot = sub.add_parser(
         "snapshot",
@@ -296,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="auto-checkpoint every N applied events per shard "
         "(default 100; 0 = final snapshot only)",
-    )
-    snapshot.add_argument(
-        "--store-shards",
-        type=int,
-        default=1,
-        help="back the service with an N-way sharded datastore "
-        "(default 1: the single-lock store)",
     )
 
     adversary = sub.add_parser(
@@ -343,13 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=50,
         help="honest control-group accounts driven for the "
         "false-positive measurement (default 50)",
-    )
-    adversary.add_argument(
-        "--store-shards",
-        type=int,
-        default=1,
-        help="run the scenario against an N-way sharded datastore "
-        "(default 1: the single-lock store)",
     )
     adversary.add_argument(
         "--verify",
@@ -586,7 +555,6 @@ def run_metrics_workload(
     seed: int,
     registry=None,
     log=None,
-    store_shards: int = 1,
 ):
     """Run one end-to-end instrumented workload; returns the registry.
 
@@ -601,12 +569,6 @@ def run_metrics_workload(
 
     Returns ``(registry, exposition, tracer)`` where ``exposition`` is the
     text served by the ``/metrics`` route at the end of the run.
-
-    ``store_shards > 1`` runs the service on a
-    :class:`~repro.lbsn.sharded.ShardedDataStore`, which adds the
-    per-shard ``repro_store_shard_*`` families to the catalogue; the
-    default keeps the single-lock store (and registers no shard-labelled
-    series, which the doc-parity tests rely on).
     """
     import threading
 
@@ -635,9 +597,7 @@ def run_metrics_workload(
     hub = log if log is not None else LogHub(metrics=registry)
     bus = EventBus(metrics=registry, log=hub)
     SuspicionLedger(metrics=registry, log=hub).attach(bus)
-    service = LbsnService(
-        event_bus=bus, metrics=registry, log=hub, store_shards=store_shards
-    )
+    service = LbsnService(event_bus=bus, metrics=registry, log=hub)
     world = build_world(scale=scale, seed=seed, service=service)
     stack = build_web_stack(world, seed=seed + 1)
     crawl_full_site(
@@ -719,7 +679,7 @@ def run_metrics_workload(
 def cmd_metrics(args) -> int:
     """Dump the snapshot of one instrumented run (text or JSON)."""
     registry, exposition, tracer = run_metrics_workload(
-        scale=args.scale, seed=args.seed, store_shards=args.store_shards
+        scale=args.scale, seed=args.seed
     )
     if args.format == "json":
         from repro.obs import registry_to_json
@@ -995,7 +955,6 @@ def cmd_chaos(args) -> int:
         fetch_failure=args.fetch_failure,
         subscriber_failure=args.subscriber_failure,
         faults_enabled=not args.no_faults,
-        store_shards=args.store_shards,
     )
     metrics = MetricsRegistry()
     log = LogHub(metrics=metrics)
@@ -1078,7 +1037,6 @@ def cmd_snapshot(args) -> int:
         partitions=args.partitions,
         checkins=args.checkins,
         snapshot_every=args.snapshot_every,
-        store_shards=args.store_shards,
     )
     report = write_durable_tree(config, args.out)
     print(
@@ -1113,14 +1071,12 @@ def cmd_adversary(args) -> int:
         targets_per_ring=args.targets_per_ring,
         honeypot_density=args.honeypot_density,
         honest_accounts=args.honest_accounts,
-        store_shards=args.store_shards,
     )
     metrics = MetricsRegistry()
     log = LogHub(metrics=metrics)
     report = run_adversary(config, metrics=metrics, log=log)
     print(
         f"adversary seed={config.seed} scale={config.scale} "
-        f"shards={config.store_shards} "
         f"({report.wall_seconds:.2f}s wall, simulated time throughout)"
     )
     print(

@@ -49,12 +49,7 @@ from repro.lbsn.specials import (
     undefended_special_venues,
     venues_with_specials,
 )
-from repro.lbsn.sharded import (
-    DEFAULT_SHARDS,
-    ShardedDataStore,
-    shard_for_key,
-)
-from repro.lbsn.store import DataStore, EventSequencer
+from repro.lbsn.store import DataStore
 from repro.lbsn.webserver import LbsnWebServer
 
 __all__ = [
@@ -93,10 +88,6 @@ __all__ = [
     "undefended_special_venues",
     "venues_with_specials",
     "DataStore",
-    "EventSequencer",
-    "DEFAULT_SHARDS",
-    "ShardedDataStore",
-    "shard_for_key",
     "LbsnWebServer",
 ]
 

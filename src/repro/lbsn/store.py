@@ -4,6 +4,14 @@ One coarse reentrant lock guards all tables.  The crawler hammers the web
 server from many threads while the attack campaign checks in concurrently,
 so every public method takes the lock; the service layer composes multi-step
 operations under :meth:`locked`.
+
+The store also owns the commit order.  Every stream-event sequence number
+is handed out under the same lock that inserts the row it belongs to
+(:meth:`DataStore.add_checkin_committed`, the group-commit
+:meth:`DataStore.add_checkins_committed`, and
+:meth:`DataStore.allocate_event_seq` for transitions without a row), so
+the numbers are dense, each is used exactly once, and per-user (and
+per-venue) seq order equals list-append order.
 """
 
 from __future__ import annotations
@@ -27,49 +35,6 @@ from repro.simnet.ids import SequentialIdAllocator
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
-class EventSequencer:
-    """Global monotonic allocator for stream-event sequence numbers.
-
-    One instance is shared by every shard of a
-    :class:`~repro.lbsn.sharded.ShardedDataStore`, so sequence numbers
-    stay globally unique, dense, and commit-ordered no matter which shard
-    allocated them.  :meth:`allocate_block` hands out a contiguous run in
-    one lock acquisition — the group-commit path's amortisation lever.
-
-    The contract the conformance harness checks: every allocated number
-    is used exactly once (allocation happens *after* fault checks and
-    duplicate validation, so an aborted commit never burns a slot), and
-    the union of all allocations is exactly ``range(watermark())``.
-    """
-
-    __slots__ = ("_lock", "_next")
-
-    def __init__(self, start: int = 0) -> None:
-        self._lock = threading.Lock()
-        self._next = start
-
-    def allocate(self) -> int:
-        """Allocate one sequence number."""
-        with self._lock:
-            seq = self._next
-            self._next += 1
-            return seq
-
-    def allocate_block(self, count: int) -> int:
-        """Allocate ``count`` contiguous numbers; returns the first."""
-        if count < 0:
-            raise ValueError(f"negative block size: {count}")
-        with self._lock:
-            start = self._next
-            self._next += count
-            return start
-
-    def watermark(self) -> int:
-        """The next sequence number that will be allocated."""
-        with self._lock:
-            return self._next
-
-
 class DataStore:
     """Users, venues, check-ins, and the spatial index over venues.
 
@@ -87,7 +52,6 @@ class DataStore:
         metrics: Optional[MetricsRegistry] = None,
         log: Optional[LogHub] = None,
         faults: Optional[FaultInjector] = None,
-        sequencer: Optional[EventSequencer] = None,
     ) -> None:
         self._lock = threading.RLock()
         self._metrics = metrics
@@ -147,17 +111,9 @@ class DataStore:
         self.user_ids = SequentialIdAllocator()
         self.venue_ids = SequentialIdAllocator()
         self.checkin_ids = SequentialIdAllocator()
-        #: Monotonic commit-order sequencer for stream events.  Allocated
-        #: under the store lock so event sequence == commit sequence; a
-        #: :class:`~repro.lbsn.sharded.ShardedDataStore` injects one
-        #: shared :class:`EventSequencer` into every shard so the order
-        #: stays global.
-        self._sequencer = sequencer if sequencer is not None else EventSequencer()
-
-    @property
-    def sequencer(self) -> EventSequencer:
-        """The (possibly shared) commit-order sequencer."""
-        return self._sequencer
+        #: Next stream-event sequence number.  Only read and bumped under
+        #: ``self._lock``, so event sequence == commit sequence.
+        self._next_seq = 0
 
     @contextmanager
     def locked(self) -> Iterator[None]:
@@ -269,21 +225,6 @@ class DataStore:
             hits = self._venue_grid.query_radius(point, radius_m)
             return [self._venues[venue_id] for venue_id, _, _ in hits]
 
-    def venues_near_with_distance(
-        self, point: GeoPoint, radius_m: float
-    ) -> List[Tuple[Venue, float]]:
-        """Like :meth:`venues_near` but keeping each hit's distance (m).
-
-        A :class:`~repro.lbsn.sharded.ShardedDataStore` needs distances
-        to merge per-shard result lists into one nearest-first order.
-        """
-        with self._lock:
-            hits = self._venue_grid.query_radius(point, radius_m)
-            return [
-                (self._venues[venue_id], distance)
-                for venue_id, _, distance in hits
-            ]
-
     def nearest_venue(
         self, point: GeoPoint, max_radius_m: float = 50_000.0
     ) -> Optional[Venue]:
@@ -291,14 +232,6 @@ class DataStore:
         with self._lock:
             hit = self._venue_grid.nearest(point, max_radius_m=max_radius_m)
             return None if hit is None else self._venues[hit[0]]
-
-    def nearest_venue_with_distance(
-        self, point: GeoPoint, max_radius_m: float = 50_000.0
-    ) -> Optional[Tuple[Venue, float]]:
-        """Like :meth:`nearest_venue` but keeping the distance (m)."""
-        with self._lock:
-            hit = self._venue_grid.nearest(point, max_radius_m=max_radius_m)
-            return None if hit is None else (self._venues[hit[0]], hit[2])
 
     # Check-ins ----------------------------------------------------------
 
@@ -321,41 +254,6 @@ class DataStore:
                 checkin
             )
             return checkin
-
-    def insert_checkin_rows(self, checkins: Sequence[CheckIn]) -> None:
-        """Insert row-table + per-user-index entries, one lock hold.
-
-        The per-*venue* index is deliberately **not** touched: this is the
-        sharding seam.  A :class:`~repro.lbsn.sharded.ShardedDataStore`
-        keys rows by user id but venue order by venue id, so the two
-        halves of a commit may land on different shards — the facade
-        routes the venue half through :meth:`index_checkins_at_venue`.
-        Single-store callers wanting both in one step keep using
-        :meth:`add_checkin` / :meth:`add_checkin_committed`.
-        """
-        with self._lock:
-            ids = self._validate_new_rows_locked(checkins)
-            self._insert_rows_fast_locked(checkins, ids)
-
-    def commit_checkin_rows(self, checkins: Sequence[CheckIn]) -> int:
-        """Insert rows AND allocate a contiguous seq block atomically.
-
-        Returns the first sequence number of the block; ``checkins[i]``
-        owns ``start + i``.  One lock hold covers validation, every row
-        insert, and the block allocation, so per-user commit order equals
-        seq order — the contract :meth:`add_checkin_committed` documents,
-        batched.  Like :meth:`insert_checkin_rows` this leaves the venue
-        index to the caller.
-        """
-        lock_hold = self._lock_hold
-        with self._lock:
-            started = time.perf_counter() if lock_hold is not None else 0.0
-            ids = self._validate_new_rows_locked(checkins)
-            self._insert_rows_fast_locked(checkins, ids)
-            start = self._sequencer.allocate_block(len(checkins))
-            if lock_hold is not None:
-                lock_hold.observe(time.perf_counter() - started)
-        return start
 
     def _insert_rows_fast_locked(
         self,
@@ -406,25 +304,6 @@ class DataStore:
             seen.add(checkin_id)
         raise ServiceError("duplicate checkin id in batch")
 
-    def index_checkins_at_venue(self, checkins: Sequence[CheckIn]) -> None:
-        """Append check-ins to the per-venue order index, one lock hold.
-
-        The other half of the sharding seam (see
-        :meth:`insert_checkin_rows`).  Appends happen in iteration order
-        under this store's lock, so per-venue order is venue-commit
-        order; under cross-shard races it may diverge from global seq
-        order, which the mayorship logic (day-bucketed counts) tolerates.
-        """
-        with self._lock:
-            by_venue = self._checkins_by_venue
-            by_venue_get = by_venue.get
-            for checkin in checkins:
-                venue_id = checkin.venue_id
-                rows = by_venue_get(venue_id)
-                if rows is None:
-                    rows = by_venue[venue_id] = []
-                rows.append(checkin)
-
     def allocate_event_seq(self) -> int:
         """Allocate one stream-event sequence number under the store lock.
 
@@ -432,7 +311,9 @@ class DataStore:
         users/venues) but still need a slot in the global commit order.
         """
         with self._lock:
-            return self._sequencer.allocate()
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            return seq
 
     def add_checkin_committed(
         self, checkin: CheckIn, trace_id: Optional[str] = None
@@ -470,7 +351,8 @@ class DataStore:
             self._checkins_by_venue.setdefault(checkin.venue_id, []).append(
                 checkin
             )
-            seq = self._sequencer.allocate()
+            seq = self._next_seq
+            self._next_seq = seq + 1
             if lock_hold is not None:
                 lock_hold.observe(time.perf_counter() - started)
         logger = self._logger
@@ -497,14 +379,14 @@ class DataStore:
         the same commits would draw singly, and still *before* any row
         mutates — a fired fault aborts the whole batch atomically), then
         one lock acquisition covers validation, every row and index
-        insert, and one contiguous :meth:`EventSequencer.allocate_block`.
+        insert, and one contiguous block of sequence numbers.
         ``result[i]`` is ``(checkins[i], start_seq + i)``, so per-user
         seq order equals list order exactly as in the single path.
 
         This is the capacity lever the E25 bench measures: at 8 writer
-        threads the single path pays a contended lock acquisition, a
-        sequencer hit, and a histogram observation *per check-in*; this
-        path pays each once per batch.
+        threads the single path pays a contended lock acquisition and a
+        histogram observation *per check-in*; this path pays each once
+        per batch.
         """
         checkins = list(checkins)
         if not checkins:
@@ -520,7 +402,8 @@ class DataStore:
             by_venue = self._checkins_by_venue
             for checkin in checkins:
                 by_venue.setdefault(checkin.venue_id, []).append(checkin)
-            start = self._sequencer.allocate_block(len(checkins))
+            start = self._next_seq
+            self._next_seq = start + len(checkins)
             if lock_hold is not None:
                 lock_hold.observe(time.perf_counter() - started)
         if self._batch_commits is not None:
@@ -542,7 +425,8 @@ class DataStore:
 
     def event_seq_watermark(self) -> int:
         """The next sequence number that will be allocated."""
-        return self._sequencer.watermark()
+        with self._lock:
+            return self._next_seq
 
     def get_checkin(self, checkin_id: int) -> Optional[CheckIn]:
         """Look up one check-in by ID."""

@@ -1,24 +1,21 @@
-"""The capacity workload: sustained check-in throughput vs store design.
+"""The capacity workload: sustained check-in throughput vs commit style.
 
 E25's engine.  One corpus (users + venues, up to the paper's full
-1.89 M / 5.6 M), one deterministic commit schedule, four store/commit
-configurations driven by the same 8-thread writer pool:
+1.89 M / 5.6 M), one deterministic commit schedule, two commit styles
+against the same :class:`DataStore`, driven by the same 8-thread writer
+pool:
 
-* ``single``          — the single-lock :class:`DataStore`, one
-  ``add_checkin_committed`` call per check-in (today's baseline).
-* ``single-batch``    — same store, ``add_checkins_committed`` batches
-  (isolates what group-commit alone buys).
-* ``sharded``         — :class:`ShardedDataStore`, per-check-in commits
-  (isolates what N locks alone buy).
-* ``sharded-batch``   — sharded + group-commit: one lock acquisition
-  and one contiguous seq block per shard flush (the headline mode).
+* ``single``          — one ``add_checkin_committed`` call per check-in
+  (the baseline).
+* ``single-batch``    — ``add_checkins_committed`` batches: one lock
+  acquisition and one contiguous seq block per batch (group commit).
 
-On the single-core CI class of machine the win comes from amortisation,
-not parallelism: the single path pays a contended lock acquisition, a
-sequencer hit, two ``perf_counter`` reads, and a histogram observation
-*per check-in*; the batched path pays each once per batch.  Every mode
-runs instrumented (a live :class:`MetricsRegistry`), because that is
-the deployed configuration the bench claims to speed up.
+The win comes from amortisation, not parallelism: the single path pays
+a contended lock acquisition, two ``perf_counter`` reads, and a
+histogram observation *per check-in*; the batched path pays each once
+per batch.  Every mode runs instrumented (a live
+:class:`MetricsRegistry`), because that is the deployed configuration
+the bench claims to speed up.
 
 Latency accounting: per *commit call* durations (p50/p99), plus the
 per-check-in quotient for batched modes.  Determinism: user, venue,
@@ -36,7 +33,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.geo.coordinates import GeoPoint
 from repro.lbsn.models import CheckIn, CheckInStatus, User, Venue, VenueCategory
-from repro.lbsn.sharded import ShardedDataStore
 from repro.lbsn.store import DataStore
 from repro.obs.metrics import MetricsRegistry
 
@@ -45,7 +41,7 @@ FULL_SCALE_USERS = 1_890_000
 FULL_SCALE_VENUES = 5_600_000
 
 #: All run_capacity modes, in reporting order.
-MODES = ("single", "single-batch", "sharded", "sharded-batch")
+MODES = ("single", "single-batch")
 
 #: Venue grid footprint: one synthetic "city block" per 0.002°, wrapped
 #: every 2,000 venues — keeps the spatial index realistically dense.
@@ -61,7 +57,6 @@ class CapacityConfig:
     writers: int = 8
     checkins_per_writer: int = 4_000
     batch_size: int = 256
-    store_shards: int = 4
     seed: int = 20_100_801
 
 
@@ -70,8 +65,6 @@ class CapacityResult:
     """Throughput + latency for one (mode, config) pair."""
 
     mode: str
-    store_kind: str
-    shards: int
     writers: int
     batch_size: int
     total_checkins: int
@@ -110,15 +103,9 @@ def build_corpus(config: CapacityConfig):
     return users, venues
 
 
-def build_store(config: CapacityConfig, mode: str, users, venues):
-    """A fresh, instrumented, fully-populated store for one mode."""
-    registry = MetricsRegistry()
-    if mode.startswith("sharded"):
-        store = ShardedDataStore(
-            shards=config.store_shards, metrics=registry
-        )
-    else:
-        store = DataStore(metrics=registry)
+def build_store(users, venues):
+    """A fresh, instrumented, fully-populated store."""
+    store = DataStore(metrics=MetricsRegistry())
     started = time.perf_counter()
     for user in users:
         store.add_user(user)
@@ -130,9 +117,8 @@ def build_store(config: CapacityConfig, mode: str, users, venues):
 def build_schedules(config: CapacityConfig) -> List[List[CheckIn]]:
     """Per-writer check-in lists: disjoint ids, shared venue pool.
 
-    Users round-robin through a per-writer slice so every shard sees
-    traffic; venues stride by a writer-specific odd step so writers
-    collide on venue shards (the cross-shard pressure worth measuring).
+    Users round-robin through a per-writer slice; venues stride by a
+    writer-specific odd step so writers collide on shared venues.
     """
     schedules: List[List[CheckIn]] = []
     users_per_writer = max(1, config.users // max(1, config.writers))
@@ -197,7 +183,7 @@ def run_capacity(
         users, venues = corpus if corpus is not None else build_corpus(
             config
         )
-        store, populate_seconds = build_store(config, mode, users, venues)
+        store, populate_seconds = build_store(users, venues)
     schedules = build_schedules(config)
     batched = mode.endswith("batch")
     work: List[List[List[CheckIn]]] = [
@@ -247,8 +233,6 @@ def run_capacity(
     p99_call = _percentile(durations, 0.99)
     return CapacityResult(
         mode=mode,
-        store_kind=type(store).__name__,
-        shards=getattr(store, "shard_count", 1),
         writers=config.writers,
         batch_size=config.batch_size if batched else 1,
         total_checkins=total,
@@ -283,7 +267,7 @@ def run_capacity_suite(
 def speedup(
     results: Dict[str, CapacityResult],
     baseline: str = "single",
-    candidate: str = "sharded-batch",
+    candidate: str = "single-batch",
 ) -> float:
     """Throughput ratio candidate / baseline."""
     base = results[baseline].checkins_per_s

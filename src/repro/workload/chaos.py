@@ -106,13 +106,6 @@ class ChaosConfig:
     # Phase D: web probe.
     web_probes: int = 200
 
-    #: >1 runs the storm against a
-    #: :class:`~repro.lbsn.sharded.ShardedDataStore` (same API, N locks,
-    #: one global sequencer — see docs/SHARDING.md).  The sequential
-    #: driver makes every digest shard-count-independent, which the
-    #: sharded chaos regression suite pins down.
-    store_shards: int = 1
-
 
 @dataclass
 class ChaosReport:
@@ -215,9 +208,7 @@ def run_chaos(
 
     # -- World + wiring ------------------------------------------------
     injector: Optional[FaultInjector] = None
-    service = LbsnService(
-        metrics=metrics, log=log, store_shards=config.store_shards
-    )
+    service = LbsnService(metrics=metrics, log=log)
     if config.faults_enabled:
         plan = FaultPlan.standard_storm(
             seed=config.fault_seed,

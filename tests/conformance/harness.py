@@ -1,4 +1,4 @@
-"""Concurrency conformance harness for the (sharded) datastore.
+"""Concurrency conformance harness for the datastore.
 
 A linearizability-style checker for the seq-allocation contract: N
 writer threads hammer one store through a deterministic, seeded schedule
@@ -12,16 +12,16 @@ interrogate:
   numbers is exactly ``range(total)``: gap-free, duplicate-free, global.
 * :func:`assert_per_user_order` — for every user, seq numbers are
   strictly increasing in exactly the store's list-append order (the
-  contract ``DataStore.add_checkin_committed`` documents, which sharding
-  must preserve).
+  contract ``DataStore.add_checkin_committed`` documents).
 * :func:`assert_observed_exactly_once` — every committed check-in was
   delivered to the bus subscriber exactly once: no loss, no duplication.
 * :func:`ledger_replay_digest` — replays the committed history in a
   *canonical* order (timestamp, user, check-in id — all schedule-derived
   and therefore identical across runs) through a fresh
   :class:`~repro.stream.SuspicionLedger` and returns its trace-scrubbed
-  digest.  Byte-identical digests between a 1-shard and an N-shard storm
-  are the proof that sharding changed scheduling, not semantics.
+  digest.  Byte-identical digests between two storms over one schedule
+  are the proof that thread interleaving changed scheduling, not
+  semantics.
 
 Determinism rules: every check-in's id, user, venue, and timestamp come
 from the precomputed :func:`build_schedule` (pure function of the seed),
@@ -120,7 +120,7 @@ def build_schedule(
     Each thread owns a disjoint user slice (so per-user order is decided
     by one thread's program order plus the store, never by a data race in
     the harness itself) while all threads share the venue pool — the
-    cross-shard contention the harness exists to provoke.  Roughly every
+    contention the harness exists to provoke.  Roughly every
     third op is a batch; timestamps increase strictly within a thread so
     the canonical replay order is well defined.
     """
@@ -385,5 +385,5 @@ def run_conformance_storm(
 
 
 def single_store_factory():
-    """A plain single-lock store (the N=1 baseline)."""
+    """A fresh, empty :class:`DataStore`."""
     return DataStore()

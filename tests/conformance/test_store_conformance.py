@@ -1,19 +1,19 @@
-"""Conformance suite: the sharded store under concurrent writers.
+"""Conformance suite: the datastore under concurrent writers.
 
-The acceptance bar from the sharding work (docs/SHARDING.md): with 8+
-writer threads mixing single and batched commits,
+The seq-allocation contract (docs/ARCHITECTURE.md, the store paragraph):
+with 8+ writer threads mixing single and batched commits,
 
+* every commit lands, in the row table and in both indexes,
 * seq numbers are gap-free and strictly ordered per stream,
 * every committed check-in is observed by detectors exactly once,
-* a 1-shard and a 4-shard run produce byte-identical trace-scrubbed
-  ledger digests once replayed in canonical order.
+* two storms over one schedule produce byte-identical trace-scrubbed
+  ledger digests once replayed in canonical order, and a different
+  schedule produces a different one.
 
 The 16-thread / bigger-schedule variant runs under ``-m soak`` only.
 """
 
 import pytest
-
-from repro.lbsn.sharded import ShardedDataStore
 
 from tests.conformance.harness import (
     assert_observed_exactly_once,
@@ -28,58 +28,18 @@ STORM_SEED = 0x5EED
 
 
 @pytest.fixture(scope="module")
-def sharded_history():
-    """One 8-thread storm against a 4-shard store, shared by the checks."""
-    return run_conformance_storm(
-        lambda: ShardedDataStore(shards=4), threads=8, seed=STORM_SEED
-    )
-
-
-@pytest.fixture(scope="module")
 def single_history():
-    """The same schedule against the single-lock baseline store."""
+    """One 8-thread storm against the store, shared by the checks."""
     return run_conformance_storm(
         single_store_factory, threads=8, seed=STORM_SEED
     )
 
 
-class TestShardedStorm:
-    def test_commits_all_landed(self, sharded_history):
-        history = sharded_history
+class TestSingleStoreStorm:
+    def test_commits_all_landed(self, single_history):
+        history = single_history
         assert len(history.committed) == history.schedule.total_checkins
         assert history.store.checkin_count() == len(history.committed)
-
-    def test_seqs_gap_free_and_duplicate_free(self, sharded_history):
-        assert_seqs_dense(sharded_history)
-
-    def test_per_user_commit_order_equals_seq_order(self, sharded_history):
-        assert_per_user_order(sharded_history)
-
-    def test_every_commit_observed_exactly_once(self, sharded_history):
-        assert_observed_exactly_once(sharded_history)
-
-    def test_rows_routed_to_owning_user_shard(self, sharded_history):
-        store = sharded_history.store
-        for _, checkin, _ in sharded_history.committed:
-            owner = store.shards[checkin.user_id % store.shard_count]
-            assert owner.get_checkin(checkin.checkin_id) is checkin
-
-    def test_venue_index_complete(self, sharded_history):
-        store = sharded_history.store
-        by_venue = {}
-        for _, checkin, _ in sharded_history.committed:
-            by_venue.setdefault(checkin.venue_id, set()).add(
-                checkin.checkin_id
-            )
-        for venue_id, expected in by_venue.items():
-            listed = {
-                c.checkin_id for c in store.checkins_at_venue(venue_id)
-            }
-            assert listed == expected
-
-
-class TestSingleStoreStorm:
-    """API parity: the same checker passes on the single-lock store."""
 
     def test_seqs_gap_free_and_duplicate_free(self, single_history):
         assert_seqs_dense(single_history)
@@ -90,55 +50,45 @@ class TestSingleStoreStorm:
     def test_every_commit_observed_exactly_once(self, single_history):
         assert_observed_exactly_once(single_history)
 
+    def test_venue_index_complete(self, single_history):
+        store = single_history.store
+        by_venue = {}
+        for _, checkin, _ in single_history.committed:
+            by_venue.setdefault(checkin.venue_id, set()).add(
+                checkin.checkin_id
+            )
+        for venue_id, expected in by_venue.items():
+            listed = {
+                c.checkin_id for c in store.checkins_at_venue(venue_id)
+            }
+            assert listed == expected
+
 
 class TestLedgerDigestParity:
-    def test_n1_vs_n4_digests_byte_identical(
-        self, sharded_history, single_history
-    ):
-        """Sharding changes scheduling, not semantics."""
-        assert ledger_replay_digest(sharded_history) == ledger_replay_digest(
+    def test_digest_stable_across_repeat_runs(self, single_history):
+        """Thread interleaving changes scheduling, not semantics."""
+        repeat = run_conformance_storm(
+            single_store_factory, threads=8, seed=STORM_SEED
+        )
+        assert ledger_replay_digest(repeat) == ledger_replay_digest(
             single_history
         )
 
-    def test_digest_stable_across_repeat_sharded_runs(self, sharded_history):
-        repeat = run_conformance_storm(
-            lambda: ShardedDataStore(shards=4), threads=8, seed=STORM_SEED
-        )
-        assert ledger_replay_digest(repeat) == ledger_replay_digest(
-            sharded_history
-        )
-
-    def test_different_schedule_changes_digest(self, sharded_history):
+    def test_different_schedule_changes_digest(self, single_history):
         """Sanity: the digest is not vacuous."""
         other = run_conformance_storm(
-            lambda: ShardedDataStore(shards=4),
-            threads=8,
-            seed=STORM_SEED + 1,
+            single_store_factory, threads=8, seed=STORM_SEED + 1
         )
         assert ledger_replay_digest(other) != ledger_replay_digest(
-            sharded_history
+            single_history
         )
-
-
-class TestShardCounts:
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_other_shard_counts_hold_the_contract(self, shards):
-        history = run_conformance_storm(
-            lambda: ShardedDataStore(shards=shards),
-            threads=8,
-            ops_per_thread=20,
-            seed=STORM_SEED + shards,
-        )
-        assert_seqs_dense(history)
-        assert_per_user_order(history)
-        assert_observed_exactly_once(history)
 
 
 @pytest.mark.soak
 class TestSoakStorm:
     def test_sixteen_threads_large_schedule(self):
         history = run_conformance_storm(
-            lambda: ShardedDataStore(shards=4),
+            single_store_factory,
             threads=16,
             ops_per_thread=120,
             seed=STORM_SEED,
@@ -148,14 +98,12 @@ class TestSoakStorm:
         assert_per_user_order(history)
         assert_observed_exactly_once(history)
 
-    def test_sixteen_thread_digest_parity_with_single_store(self):
+    def test_sixteen_thread_digest_stable_across_repeat_runs(self):
         schedule_kwargs = dict(
             threads=16, ops_per_thread=80, seed=STORM_SEED + 99
         )
-        sharded = run_conformance_storm(
-            lambda: ShardedDataStore(shards=4), **schedule_kwargs
-        )
-        single = run_conformance_storm(
+        first = run_conformance_storm(single_store_factory, **schedule_kwargs)
+        second = run_conformance_storm(
             single_store_factory, **schedule_kwargs
         )
-        assert ledger_replay_digest(sharded) == ledger_replay_digest(single)
+        assert ledger_replay_digest(first) == ledger_replay_digest(second)

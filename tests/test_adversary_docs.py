@@ -126,7 +126,6 @@ class TestDocAnchors:
     def test_cli_verbs_documented(self, doc_text):
         assert "repro adversary" in doc_text
         assert "--verify" in doc_text
-        assert "--store-shards" in doc_text
 
     def test_proof_suites_cross_referenced(self, doc_text):
         for anchor in (

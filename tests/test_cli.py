@@ -374,42 +374,6 @@ class TestAdversaryCommand:
         assert "inline refusals:" in out
         assert "catch digest:" in out
 
-    def test_store_shards_reaches_the_adversary_config(
-        self, monkeypatch, capsys
-    ):
-        import repro.adversary as adversary_mod
-
-        captured = {}
-
-        def fake(config, metrics=None, log=None):
-            captured["config"] = config
-            return _fake_adversary_report("same")
-
-        monkeypatch.setattr(adversary_mod, "run_adversary", fake)
-        assert (
-            main(["adversary"] + SMALL + ["--store-shards", "4"]) == 0
-        )
-        assert captured["config"].store_shards == 4
-        assert "shards=4" in capsys.readouterr().out
-
-    def test_store_shards_reaches_the_chaos_config(self, monkeypatch):
-        import repro.workload.chaos as chaos_mod
-
-        captured = {}
-
-        def fake(config, metrics=None, log=None):
-            captured["config"] = config
-            return _fake_chaos_report("same")
-
-        monkeypatch.setattr(chaos_mod, "run_chaos", fake)
-        assert main(["chaos"] + SMALL + ["--store-shards", "4"]) == 0
-        assert captured["config"].store_shards == 4
-
-    def test_store_shards_defaults_to_one_everywhere(self):
-        for command in ("adversary", "chaos", "snapshot"):
-            args = build_parser().parse_args([command])
-            assert args.store_shards == 1
-
 
 class TestAdversaryVerifyExitCodes:
     """--verify must turn scoreboard divergence into a non-zero exit."""

@@ -202,31 +202,6 @@ class TestBatchCommit:
         assert snapshot["repro_store_batch_checkins_total"][()] == 4
 
 
-class TestShardingSeamMethods:
-    """The row/index split ``ShardedDataStore`` composes across shards."""
-
-    def test_insert_checkin_rows_skips_venue_index(self):
-        store = DataStore()
-        store.insert_checkin_rows([make_checkin(1, user_id=3, venue_id=7)])
-        assert store.checkin_count() == 1
-        assert len(store.checkins_of_user(3)) == 1
-        assert store.checkins_at_venue(7) == []
-
-    def test_index_checkins_at_venue_completes_the_commit(self):
-        store = DataStore()
-        row = make_checkin(1, user_id=3, venue_id=7)
-        store.insert_checkin_rows([row])
-        store.index_checkins_at_venue([row])
-        assert store.checkins_at_venue(7) == [row]
-
-    def test_commit_checkin_rows_returns_block_start(self):
-        store = DataStore()
-        rows = [make_checkin(i + 1, user_id=1) for i in range(3)]
-        start = store.commit_checkin_rows(rows)
-        assert start == 0
-        assert store.event_seq_watermark() == 3
-
-
 class TestLockHoldInstrumentation:
     """Regression: attaching metrics mid-commit must not observe garbage.
 

@@ -32,11 +32,9 @@ FAR = GeoPoint(47.0, -122.0)
 
 
 class ServiceMachine(RuleBasedStateMachine):
-    store_shards = 1
-
     @initialize()
     def setup(self) -> None:
-        self.service = LbsnService(store_shards=self.store_shards)
+        self.service = LbsnService()
         self.users = []
         self.venues = []
         self.now = 0.0
@@ -213,16 +211,7 @@ class ServiceMachine(RuleBasedStateMachine):
                 assert user_id in venue.unique_visitors
 
 
-class ShardedServiceMachine(ServiceMachine):
-    store_shards = 2
-
-
 TestServiceStateMachine = ServiceMachine.TestCase
 TestServiceStateMachine.settings = settings(
     max_examples=50, stateful_step_count=50, deadline=None
-)
-
-TestShardedServiceStateMachine = ShardedServiceMachine.TestCase
-TestShardedServiceStateMachine.settings = settings(
-    max_examples=20, stateful_step_count=50, deadline=None
 )
